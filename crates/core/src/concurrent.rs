@@ -9,185 +9,93 @@
 //! structure — split and directory doubling — take the directory *write*
 //! lock (hand-over-hand: directory first, then the victim segment).
 //!
-//! Readers no longer take the directory lock at all. Each table publishes
-//! an immutable [`DirSnapshot`] behind an [`EpochPtr`]; a `get`/`scan`
-//! pins an epoch guard, loads the snapshot, and probes the target segment
-//! seqlock-style: check the segment's version counter is even (no writer
-//! mid-mutation), `try_read` the segment (never blocks), re-check the
-//! version after the probe, and retry on any mismatch. Retries are
-//! bounded; on exhaustion (or when the epoch collector has no free slot)
-//! the reader falls back to the original locked path, so the optimistic
-//! path is an optimization, never a liveness requirement. Retired
-//! snapshots are freed through [`crate::epoch`] only after every reader
-//! that could hold them has unpinned.
-//!
-//! The old invariant "a directory write-lock holder knows no segment lock
-//! is held" no longer holds: optimistic readers hold segment *read* locks
-//! without the directory lock, so `maintain`'s segment write acquisition
-//! can block briefly behind them. That is safe — readers never wait on
-//! anything while holding a segment guard, so no cycle can form — but it
-//! is why structural surgery keeps the victim segment's write lock until
-//! after the new snapshot is published: any reader that acquires the
-//! segment after the release observes `retired` and reloads.
-//!
-//! Sibling navigation for scans walks the snapshot (equivalent order to
-//! the single-threaded sibling pointers) without any directory lock.
+//! Readers take no directory lock at all: `get`/`scan`, the directory
+//! snapshots, the versioned segment slots, the split/doubling tail and the
+//! audit are the shared optimistic-read core in `concurrent_core.rs`,
+//! instantiated here with the plain [`Segment`]. Every segment mutation
+//! holds the slot's version-bracketed write guard, so an optimistic probe
+//! that overlaps one fails validation and retries.
 
-use crate::epoch::{Collector, EpochPtr, EpochStats, Guard};
+pub use crate::concurrent_core::ReadStats;
+use crate::concurrent_core::{Core, Event, SegmentKind, Table};
+use crate::epoch::EpochStats;
 use crate::params::Params;
-use crate::remap::mask64;
 use crate::segment::{BucketUpsert, RemapOutcome, Segment};
-use crate::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use crate::sync::{Arc, RwLock, RwLockWriteGuard};
+use crate::sync::atomic::Ordering;
+use crate::sync::Arc;
 use index_traits::{AuditReport, Auditable, ConcurrentKvIndex, Key, Value};
+use std::borrow::Cow;
 
-/// Optimistic probe attempts per `get` before falling back to locks.
-const READ_RETRIES: usize = 8;
-/// Optimistic restarts per table in `scan` before falling back to locks.
-const SCAN_RESTARTS: usize = 4;
-
-/// A shared segment plus the metadata the optimistic read protocol needs.
-pub(crate) struct CSeg {
-    /// Seqlock-style version: odd while a writer holds `data`'s write lock
-    /// (bumped right after acquisition and right before release), even and
-    /// strictly monotone otherwise. Readers validate it around probes.
-    version: AtomicU64,
-    /// Set (under the directory write lock, before the replacement
-    /// snapshot is published) when a split removes this segment from the
-    /// directory. Readers holding a stale snapshot bail out and reload.
-    retired: AtomicBool,
-    data: RwLock<Segment>,
-}
-
-impl CSeg {
-    fn new(seg: Segment) -> Arc<CSeg> {
-        Arc::new(CSeg {
-            version: AtomicU64::new(0),
-            retired: AtomicBool::new(false),
-            data: RwLock::new(seg),
-        })
+impl SegmentKind for Segment {
+    #[inline]
+    fn local_depth(&self) -> u32 {
+        self.local_depth
     }
 
-    /// Write-locks the segment and marks the mutation window open (odd
-    /// version). The guard closes the window (even again) on drop, before
-    /// the lock itself is released.
-    fn write(&self) -> SegWrite<'_> {
-        let guard = self.data.write();
-        self.version.fetch_add(1, Ordering::SeqCst);
-        SegWrite { cseg: self, guard }
+    #[inline]
+    fn probe_optimistic(
+        &self,
+        sk: u64,
+        key: Key,
+        m_total: u32,
+        p: &Params,
+    ) -> Option<Option<Value>> {
+        // The slot read guard excludes every writer of a plain segment.
+        Some(self.get(sk, key, m_total, p))
     }
-}
 
-/// Write guard that brackets the segment mutation with version bumps.
-struct SegWrite<'a> {
-    cseg: &'a CSeg,
-    guard: RwLockWriteGuard<'a, Segment>,
-}
-
-impl std::ops::Deref for SegWrite<'_> {
-    type Target = Segment;
-    fn deref(&self) -> &Segment {
-        &self.guard
+    #[inline]
+    fn probe_locked(&self, sk: u64, key: Key, m_total: u32, p: &Params) -> Option<Value> {
+        self.get(sk, key, m_total, p)
     }
-}
 
-impl std::ops::DerefMut for SegWrite<'_> {
-    fn deref_mut(&mut self) -> &mut Segment {
-        &mut self.guard
+    #[inline]
+    fn walk_optimistic(
+        &self,
+        start: Option<(u64, Key)>,
+        count: usize,
+        out: &mut Vec<(Key, Value)>,
+        m_total: u32,
+    ) -> Option<bool> {
+        Some(self.walk_locked(start, count, out, m_total))
     }
-}
 
-impl Drop for SegWrite<'_> {
-    fn drop(&mut self) {
-        // Runs before the `guard` field drops, so the version returns to
-        // even while the write lock is still held: a reader that sees an
-        // even version and then wins a `try_read` sees finished data.
-        self.cseg.version.fetch_add(1, Ordering::SeqCst);
+    fn walk_locked(
+        &self,
+        start: Option<(u64, Key)>,
+        count: usize,
+        out: &mut Vec<(Key, Value)>,
+        m_total: u32,
+    ) -> bool {
+        let (b, slot) = match start {
+            Some((sk, key)) => {
+                let b = self.bucket_of(self.local_key(sk, m_total), m_total);
+                (b, self.buckets[b].lower_bound(key))
+            }
+            None => (0, 0),
+        };
+        self.walk_from(b, slot, count, out).is_some()
     }
-}
 
-/// Immutable directory snapshot published to readers. The `Arc` clones
-/// keep every referenced segment alive independent of the live directory,
-/// so the epoch collector only ever has to reclaim snapshot boxes.
-pub(crate) struct DirSnapshot {
-    generation: u64,
-    global_depth: u32,
-    entries: Vec<Arc<CSeg>>,
-}
-
-/// Directory of one concurrent EH table.
-struct CDir {
-    global_depth: u32,
-    /// Bumped by every structural change (split installation, doubling);
-    /// the published snapshot must always carry the current value.
-    generation: u64,
-    entries: Vec<Arc<CSeg>>,
-    /// Active segment-size limit multiplier (adaptive, §3.3).
-    active_limit_mult: u32,
-    limit_decided: bool,
-}
-
-/// One concurrent EH table: directory lock + per-segment locks + the
-/// reader-facing snapshot.
-struct CEh {
-    dir: RwLock<CDir>,
-    snap: EpochPtr<DirSnapshot>,
-    num_keys: AtomicUsize,
-    splits: AtomicU64,
-    expansions: AtomicU64,
-    remaps: AtomicU64,
-    doublings: AtomicU64,
-    shrinks: AtomicU64,
-}
-
-impl CEh {
-    /// Re-publishes the directory as a fresh snapshot, retiring the old
-    /// one through `epoch`. Caller must hold the directory write lock and
-    /// have bumped `dir.generation` for the structural change.
-    fn publish(&self, dir: &CDir, epoch: &Collector) {
-        self.snap.swap(
-            Box::new(DirSnapshot {
-                generation: dir.generation,
-                global_depth: dir.global_depth,
-                entries: dir.entries.clone(),
-            }),
-            epoch,
-        );
+    fn audit_view(&self) -> Cow<'_, Segment> {
+        Cow::Borrowed(self)
     }
-}
 
-/// Read-path statistics (always on, like [`ConcurrentDyTis::insert_retries`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReadStats {
-    /// Optimistic probe attempts that had to be repeated (version moved,
-    /// `try_read` lost to a writer, or the segment was retired mid-probe).
-    pub retries: u64,
-    /// Reads that exhausted their retry budget (or found no epoch slot)
-    /// and completed on the locked path instead.
-    pub fallbacks: u64,
-    /// Reads (point or per-table scan legs) that executed under locks —
-    /// fallbacks plus everything served while `set_locked_reads(true)`.
-    /// Zero here proves the optimistic hit path took no lock at all.
-    pub locked: u64,
+    fn counter(event: Event) -> &'static obs::Counter {
+        match event {
+            Event::Split => obs::counter!("cdytis.split"),
+            Event::Double => obs::counter!("cdytis.double"),
+            Event::Remap => obs::counter!("cdytis.remap"),
+            Event::Expand => obs::counter!("cdytis.expand"),
+            Event::Shrink => obs::counter!("cdytis.shrink"),
+            Event::InsertRetry => obs::counter!("cdytis.insert_retries"),
+        }
+    }
 }
 
 /// The multi-threaded DyTIS index (used by the Figure 12 evaluation).
 pub struct ConcurrentDyTis {
-    params: Params,
-    tables: Vec<CEh>,
-    m_total: u32,
-    /// Epoch collector for retired directory snapshots; shared by every
-    /// table so one pin covers any snapshot the operation may load.
-    epoch: Collector,
-    /// When set, `get`/`scan` skip the optimistic path entirely — the
-    /// lock-based baseline bar of the read-scaling sweep.
-    locked_reads: AtomicBool,
-    /// Times an insert lost its fast path to contention or a pending
-    /// structural fix and had to retry through `maintain`.
-    insert_retries: AtomicU64,
-    read_retries: AtomicU64,
-    read_fallbacks: AtomicU64,
-    read_locked: AtomicU64,
+    pub(crate) core: Core<Segment>,
 }
 
 impl ConcurrentDyTis {
@@ -202,44 +110,8 @@ impl ConcurrentDyTis {
     ///
     /// Panics if `first_level_bits` is outside `1..=16`.
     pub fn with_params(params: Params) -> Self {
-        let r = params.first_level_bits;
-        assert!((1..=16).contains(&r));
-        let m_total = 64 - r;
-        let tables = (0..(1usize << r))
-            .map(|_| {
-                let entries = vec![CSeg::new(Segment::new(0))];
-                CEh {
-                    snap: EpochPtr::new(Box::new(DirSnapshot {
-                        generation: 0,
-                        global_depth: 0,
-                        entries: entries.clone(),
-                    })),
-                    dir: RwLock::new(CDir {
-                        global_depth: 0,
-                        generation: 0,
-                        entries,
-                        active_limit_mult: params.limit_mult,
-                        limit_decided: false,
-                    }),
-                    num_keys: AtomicUsize::new(0),
-                    splits: AtomicU64::new(0),
-                    expansions: AtomicU64::new(0),
-                    remaps: AtomicU64::new(0),
-                    doublings: AtomicU64::new(0),
-                    shrinks: AtomicU64::new(0),
-                }
-            })
-            .collect();
         ConcurrentDyTis {
-            params,
-            tables,
-            m_total,
-            epoch: Collector::new(),
-            locked_reads: AtomicBool::new(false),
-            insert_retries: AtomicU64::new(0),
-            read_retries: AtomicU64::new(0),
-            read_fallbacks: AtomicU64::new(0),
-            read_locked: AtomicU64::new(0),
+            core: Core::new(params, |_| Segment::new(0)),
         }
     }
 
@@ -249,53 +121,30 @@ impl ConcurrentDyTis {
     /// quiesced.  `keys_moved` is not tracked by the concurrent variant and
     /// reads 0.
     pub fn maintenance_stats(&self) -> index_traits::MaintenanceStats {
-        let mut s = index_traits::MaintenanceStats::default();
-        for t in &self.tables {
-            // relaxed: monotonic advisory counters; exact totals are only
-            // required after the writing threads have been joined.
-            s.splits += t.splits.load(Ordering::Relaxed);
-            // relaxed: see above.
-            s.expansions += t.expansions.load(Ordering::Relaxed);
-            // relaxed: see above.
-            s.remaps += t.remaps.load(Ordering::Relaxed);
-            // relaxed: see above.
-            s.doublings += t.doublings.load(Ordering::Relaxed);
-            // relaxed: see above.
-            s.shrinks += t.shrinks.load(Ordering::Relaxed);
-        }
-        s
+        self.core.maintenance_stats()
     }
 
-    /// Times an insert had to retry through the slow path (see field doc).
+    /// Times an insert lost its fast path to contention or a pending
+    /// structural fix and had to retry through the slow path.
     pub fn insert_retries(&self) -> u64 {
-        // relaxed: monotonic advisory counter.
-        self.insert_retries.load(Ordering::Relaxed)
+        self.core.insert_retries()
     }
 
     /// Optimistic-read retry/fallback counters (see [`ReadStats`]).
     pub fn read_stats(&self) -> ReadStats {
-        ReadStats {
-            // relaxed: monotonic advisory counters.
-            retries: self.read_retries.load(Ordering::Relaxed),
-            // relaxed: see above.
-            fallbacks: self.read_fallbacks.load(Ordering::Relaxed),
-            // relaxed: see above.
-            locked: self.read_locked.load(Ordering::Relaxed),
-        }
+        self.core.read_stats()
     }
 
     /// Deferred-reclamation counters of the snapshot collector.
     pub fn epoch_stats(&self) -> EpochStats {
-        self.epoch.stats()
+        self.core.epoch_stats()
     }
 
     /// Forces `get`/`scan` onto the §3.4 locked path (`true`) or back to
     /// optimistic reads (`false`, the default). Used as the baseline bar
     /// in the read-scaling sweep.
     pub fn set_locked_reads(&self, locked: bool) {
-        // relaxed: a mode toggle; it guards no data, and either path is
-        // correct at any moment.
-        self.locked_reads.store(locked, Ordering::Relaxed);
+        self.core.set_locked_reads(locked);
     }
 
     /// Intentionally broken insert, compiled only for model checking:
@@ -311,17 +160,14 @@ impl ConcurrentDyTis {
     /// the maintenance slow path is deliberately not reproduced here.
     #[cfg(loom)]
     pub fn insert_seeded_torn_counter(&self, key: Key, value: Value) {
-        let table = &self.tables[self.table_of(key)];
-        let sk = self.sub_key(key);
-        let p = &self.params;
+        let core = &self.core;
+        let table = &core.tables[core.table_of(key)];
+        let sk = core.sub_key(key);
         let inserted = {
             let dir = table.dir.read();
-            let cseg = Arc::clone(&dir.entries[Self::dir_index(&dir, sk, self.m_total)]);
-            let mut seg = cseg.write();
-            let m = self.m_total - seg.local_depth;
-            let k = sk & mask64(m);
-            let b = seg.bucket_of(k, self.m_total);
-            match seg.upsert_in_bucket(b, key, value, p.bucket_entries) {
+            let mut seg = dir.entries[core.dir_index(&dir, sk)].write();
+            let b = seg.bucket_of(seg.local_key(sk, core.m_total), core.m_total);
+            match seg.upsert_in_bucket(b, key, value, core.params.bucket_entries) {
                 BucketUpsert::Inserted => true,
                 BucketUpsert::Updated => false,
                 BucketUpsert::Full => panic!("seeded-bug insert requires a key that fits"),
@@ -336,103 +182,23 @@ impl ConcurrentDyTis {
         }
     }
 
-    #[inline]
-    fn table_of(&self, key: Key) -> usize {
-        (key >> (64 - self.params.first_level_bits)) as usize
-    }
-
-    #[inline]
-    fn sub_key(&self, key: Key) -> u64 {
-        key & mask64(self.m_total)
-    }
-
-    #[inline]
-    fn dir_index(dir: &CDir, sk: u64, m_total: u32) -> usize {
-        (sk >> (m_total - dir.global_depth)) as usize
-    }
-
-    #[inline]
-    fn snap_index(snap: &DirSnapshot, sk: u64, m_total: u32) -> usize {
-        (sk >> (m_total - snap.global_depth)) as usize
-    }
-
-    /// Whether reads should try the optimistic path first.
-    #[inline]
-    fn optimistic_enabled(&self) -> bool {
-        // relaxed: mode toggle, see `set_locked_reads`.
-        !self.locked_reads.load(Ordering::Relaxed)
-    }
-
-    /// Optimistic `get`: snapshot → seqlock-validated segment probe.
-    /// `None` means "retry budget exhausted — take the locked path".
-    fn get_optimistic(&self, table: &CEh, sk: u64, key: Key) -> Option<Option<Value>> {
-        let guard = self.epoch.pin()?;
-        let mut retries = 0u64;
-        let mut result = None;
-        // justified: bounded by READ_RETRIES, with a locked fallback in
-        // the caller when the budget is exhausted.
-        for _ in 0..READ_RETRIES {
-            let snap = table.snap.load(&guard);
-            let cseg = &snap.entries[Self::snap_index(snap, sk, self.m_total)];
-            let v0 = cseg.version.load(Ordering::SeqCst);
-            if v0 & 1 == 1 {
-                retries += 1; // Writer mid-mutation: don't even try the lock.
-                continue;
-            }
-            let Some(seg) = cseg.data.try_read() else {
-                retries += 1; // Writer holds the segment.
-                continue;
-            };
-            if cseg.retired.load(Ordering::SeqCst) {
-                retries += 1; // Stale snapshot: reload and re-route.
-                continue;
-            }
-            let v = seg.get(sk, key, self.m_total, &self.params);
-            drop(seg);
-            if cseg.version.load(Ordering::SeqCst) == v0 {
-                result = Some(v);
-                break;
-            }
-            retries += 1; // Segment mutated while we probed.
-        }
-        if retries > 0 {
-            // relaxed: monotonic advisory counter.
-            self.read_retries.fetch_add(retries, Ordering::Relaxed);
-            obs::counter!("read.retries").add(retries);
-        }
-        result
-    }
-
-    /// Locked `get`: the original §3.4 two-lock path, kept as the
-    /// fallback and as the read-scaling baseline.
-    fn get_locked(&self, table: &CEh, sk: u64, key: Key) -> Option<Value> {
-        // relaxed: monotonic advisory counter.
-        self.read_locked.fetch_add(1, Ordering::Relaxed);
-        let dir = table.dir.read();
-        let seg = dir.entries[Self::dir_index(&dir, sk, self.m_total)]
-            .data
-            .read();
-        seg.get(sk, key, self.m_total, &self.params)
-    }
-
     /// Fast-path insert under directory read lock + segment write lock.
     /// Returns `true` when the insert (or in-place update) completed, or
     /// `false` when structural maintenance under the directory write lock is
     /// required (split or doubling).
-    fn insert_fast(&self, table: &CEh, sk: u64, key: Key, value: Value) -> bool {
-        let p = &self.params;
+    fn insert_fast(&self, table: &Table<Segment>, sk: u64, key: Key, value: Value) -> bool {
+        let core = &self.core;
+        let p = &core.params;
         // justified: each retry either inserts or observes a full bucket
         // and performs (or defers to `maintain` for) a structural repair;
         // repairs strictly grow capacity, so the loop terminates.
         loop {
             let dir = table.dir.read();
             let gd = dir.global_depth;
-            let cseg = Arc::clone(&dir.entries[Self::dir_index(&dir, sk, self.m_total)]);
-            let mut seg = cseg.write();
+            let mut seg = dir.entries[core.dir_index(&dir, sk)].write();
             let ld = seg.local_depth;
-            let m = self.m_total - ld;
-            let k = sk & mask64(m);
-            let b = seg.bucket_of(k, self.m_total);
+            let k = seg.local_key(sk, core.m_total);
+            let b = seg.bucket_of(k, core.m_total);
             match seg.upsert_in_bucket(b, key, value, p.bucket_entries) {
                 BucketUpsert::Updated => return true,
                 BucketUpsert::Inserted => {
@@ -450,287 +216,57 @@ impl ConcurrentDyTis {
             }
             let cap_buckets = p.segment_cap(ld, dir.active_limit_mult);
             let high = seg.utilization(p) > p.utilization_threshold;
-            if ld < gd {
-                if high {
-                    return false; // Split.
-                }
-                match seg.remap_adjust(k, self.m_total, cap_buckets, p) {
-                    RemapOutcome::Failed => return false, // Split.
-                    _ => {
-                        // relaxed: monotonic stats counter; reads happen
-                        // under the directory write lock (see `maintain`).
-                        table.remaps.fetch_add(1, Ordering::Relaxed);
-                        obs::counter!("cdytis.remap").inc();
-                        continue; // Retry the insert.
-                    }
-                }
+            let fixed = if high && ld < gd {
+                None // Split.
+            } else if high {
+                seg.expand(core.m_total, cap_buckets, p)
+                    .then_some(Event::Expand)
             } else {
-                let ok = if high {
-                    let ok = seg.expand(self.m_total, cap_buckets, p);
-                    if ok {
-                        // relaxed: monotonic stats counter; reads happen
-                        // under the directory write lock (see `maintain`).
-                        table.expansions.fetch_add(1, Ordering::Relaxed);
-                        obs::counter!("cdytis.expand").inc();
-                    }
-                    ok
-                } else {
-                    let ok =
-                        seg.remap_adjust(k, self.m_total, cap_buckets, p) != RemapOutcome::Failed;
-                    if ok {
-                        // relaxed: monotonic stats counter; reads happen
-                        // under the directory write lock (see `maintain`).
-                        table.remaps.fetch_add(1, Ordering::Relaxed);
-                        obs::counter!("cdytis.remap").inc();
-                    }
-                    ok
-                };
-                if !ok {
-                    return false; // Directory doubling.
-                }
-                // Retry the insert with the adjusted segment.
-            }
+                (seg.remap_adjust(k, core.m_total, cap_buckets, p) != RemapOutcome::Failed)
+                    .then_some(Event::Remap)
+            };
+            let Some(event) = fixed else {
+                return false; // Split, or directory doubling when LD == GD.
+            };
+            core.record(table, event);
+            // Retry the insert with the adjusted segment.
         }
     }
 
     /// Slow path: performs one structural step (split or doubling) under the
     /// directory write lock, then returns so the fast path can retry.
-    fn maintain(&self, table: &CEh, sk: u64) {
-        let p = &self.params;
+    fn maintain(&self, table: &Table<Segment>, sk: u64) {
+        let core = &self.core;
+        let p = &core.params;
         let mut dir = table.dir.write();
-        let idx = Self::dir_index(&dir, sk, self.m_total);
-        let cseg = Arc::clone(&dir.entries[idx]);
+        let slot = Arc::clone(&dir.entries[core.dir_index(&dir, sk)]);
         // Writers all hold the directory read lock while holding a segment
         // lock, so none can contend here; optimistic readers, however, may
         // hold this segment's read lock without any directory lock, so this
         // acquisition can block briefly. Readers never wait while holding a
         // segment guard, so no deadlock cycle can form.
-        let seg = cseg.write();
+        let seg = slot.write();
         let ld = seg.local_depth;
-        let m = self.m_total - ld;
-        let k = sk & mask64(m);
-        let b = seg.bucket_of(k, self.m_total);
+        let b = seg.bucket_of(seg.local_key(sk, core.m_total), core.m_total);
         if seg.bucket_len(b) < p.bucket_entries {
             return; // Another thread already fixed it.
         }
-        if ld == dir.global_depth {
-            // Adaptive limit decision at doubling time (GD only grows here).
-            if !dir.limit_decided && dir.global_depth + 1 >= p.l_start + 2 {
-                dir.limit_decided = true;
-                // relaxed: every increment happened under a directory read
-                // lock, so holding the write lock here orders all of them
-                // before these loads; the counters need no own ordering.
-                let e = table.expansions.load(Ordering::Relaxed);
-                // relaxed: same reasoning as the load above.
-                let tot =
-                    e + table.splits.load(Ordering::Relaxed) + table.remaps.load(Ordering::Relaxed);
-                if tot > 0 && e as f64 / tot as f64 >= p.expansion_heavy_fraction {
-                    dir.active_limit_mult = p.limit_mult_raised;
-                }
+        // Adaptive limit decision at doubling time (GD only grows here).
+        if ld == dir.global_depth && !dir.limit_decided && dir.global_depth + 1 >= p.l_start + 2 {
+            dir.limit_decided = true;
+            // relaxed: every increment happened under a directory lock, so
+            // holding the write lock here orders all of them before these
+            // loads; the counters need no own ordering.
+            let e = table.expansions.load(Ordering::Relaxed);
+            // relaxed: same reasoning as the load above.
+            let tot =
+                e + table.splits.load(Ordering::Relaxed) + table.remaps.load(Ordering::Relaxed);
+            if tot > 0 && e as f64 / tot as f64 >= p.expansion_heavy_fraction {
+                dir.active_limit_mult = p.limit_mult_raised;
             }
-            let mut entries = Vec::with_capacity(dir.entries.len() * 2);
-            for e in &dir.entries {
-                entries.push(Arc::clone(e));
-                entries.push(Arc::clone(e));
-            }
-            dir.entries = entries;
-            dir.global_depth += 1;
-            // relaxed: monotonic stats counter; reads happen under the
-            // directory write lock (see the limit decision above).
-            table.doublings.fetch_add(1, Ordering::Relaxed);
-            obs::counter!("cdytis.double").inc();
         }
-        // Split the segment (now LD < GD). The split copies into two fresh
-        // segments and leaves the old one intact, so a reader still probing
-        // it under a stale snapshot sees complete pre-split data.
-        let (left, right) = seg.split(self.m_total, p);
-        let gd = dir.global_depth;
-        let span = 1usize << (gd - (ld + 1));
-        let idx = Self::dir_index(&dir, sk, self.m_total);
-        let base = idx & !(span * 2 - 1);
-        let left = CSeg::new(left);
-        let right = CSeg::new(right);
-        for e in &mut dir.entries[base..base + span] {
-            *e = Arc::clone(&left);
-        }
-        for e in &mut dir.entries[base + span..base + 2 * span] {
-            *e = Arc::clone(&right);
-        }
-        dir.generation += 1;
-        // Publication order matters: mark the victim retired, publish the
-        // new snapshot (retiring the old one through the collector), and
-        // only then release the victim's write lock (when `seg` drops).
-        // A reader that wins `try_read` on the old segment after that
-        // release is guaranteed to observe `retired` and reload a snapshot
-        // that routes around it.
-        cseg.retired.store(true, Ordering::SeqCst);
-        table.publish(&dir, &self.epoch);
-        drop(seg);
-        // relaxed: monotonic stats counter; reads happen under the
-        // directory write lock (see the limit decision above).
-        table.splits.fetch_add(1, Ordering::Relaxed);
-        obs::counter!("cdytis.split").inc();
-    }
-
-    /// One optimistic attempt at scanning `table` from `start_sk`.
-    /// `Some(done)` on success; `None` when any segment probe failed
-    /// validation (the table's contribution has been rolled back).
-    #[allow(clippy::too_many_arguments)]
-    fn scan_table_optimistic(
-        &self,
-        table: &CEh,
-        guard: &Guard<'_>,
-        start_sk: u64,
-        start_key: Key,
-        from_start: bool,
-        count: usize,
-        out: &mut Vec<(Key, Value)>,
-    ) -> Option<bool> {
-        let base_len = out.len();
-        // Acquire pairs with the Release increments so a table observed
-        // non-empty has its inserts visible to the probes below.
-        if table.num_keys.load(Ordering::Acquire) == 0 {
-            return Some(out.len() >= count);
-        }
-        let snap = table.snap.load(guard);
-        let mut idx = if from_start {
-            0
-        } else {
-            Self::snap_index(snap, start_sk, self.m_total)
-        };
-        let mut first = !from_start;
-        while idx < snap.entries.len() {
-            let cseg = &snap.entries[idx];
-            let v0 = cseg.version.load(Ordering::SeqCst);
-            let probe = if v0 & 1 == 1 {
-                None
-            } else {
-                cseg.data.try_read()
-            };
-            let Some(seg) = probe else {
-                out.truncate(base_len);
-                return None;
-            };
-            if cseg.retired.load(Ordering::SeqCst) {
-                out.truncate(base_len);
-                return None;
-            }
-            let span = 1usize << (snap.global_depth - seg.local_depth);
-            // Align to the segment's first directory entry so each segment
-            // is visited once.
-            let (b, slot) = if first {
-                let m = self.m_total - seg.local_depth;
-                let k = start_sk & mask64(m);
-                let b = seg.bucket_of(k, self.m_total);
-                (b, seg.buckets[b].lower_bound(start_key))
-            } else {
-                (0, 0)
-            };
-            first = false;
-            let done = seg.walk_from(b, slot, count, out).is_some();
-            drop(seg);
-            if cseg.version.load(Ordering::SeqCst) != v0 {
-                out.truncate(base_len);
-                return None;
-            }
-            if done {
-                return Some(true);
-            }
-            idx = (idx & !(span - 1)) + span;
-        }
-        Some(out.len() >= count)
-    }
-
-    /// Locked scan of one table starting at `start_sk`; returns `true`
-    /// when `count` pairs have been collected. Fallback path and
-    /// read-scaling baseline.
-    fn scan_table_locked(
-        &self,
-        table: &CEh,
-        start_sk: u64,
-        start_key: Key,
-        from_start: bool,
-        count: usize,
-        out: &mut Vec<(Key, Value)>,
-    ) -> bool {
-        // relaxed: monotonic advisory counter.
-        self.read_locked.fetch_add(1, Ordering::Relaxed);
-        let dir = table.dir.read();
-        // Acquire pairs with the Release increments so a table observed
-        // non-empty has its inserts visible to the scan below.
-        if table.num_keys.load(Ordering::Acquire) == 0 {
-            return out.len() >= count;
-        }
-        let mut idx = if from_start {
-            0
-        } else {
-            Self::dir_index(&dir, start_sk, self.m_total)
-        };
-        let mut first = !from_start;
-        while idx < dir.entries.len() {
-            let seg = dir.entries[idx].data.read();
-            let span = 1usize << (dir.global_depth - seg.local_depth);
-            // Align to the segment's first directory entry so each segment is
-            // visited once.
-            let (b, slot) = if first {
-                let m = self.m_total - seg.local_depth;
-                let k = start_sk & mask64(m);
-                let b = seg.bucket_of(k, self.m_total);
-                (b, seg.buckets[b].lower_bound(start_key))
-            } else {
-                (0, 0)
-            };
-            first = false;
-            if seg.walk_from(b, slot, count, out).is_some() {
-                return true;
-            }
-            idx = (idx & !(span - 1)) + span;
-        }
-        out.len() >= count
-    }
-
-    /// Scans one table, optimistic-first with a bounded restart budget and
-    /// a locked fallback.
-    fn scan_table(
-        &self,
-        table: &CEh,
-        start_sk: u64,
-        start_key: Key,
-        from_start: bool,
-        count: usize,
-        out: &mut Vec<(Key, Value)>,
-    ) -> bool {
-        if self.optimistic_enabled() {
-            if let Some(guard) = self.epoch.pin() {
-                let mut restarts = 0u64;
-                // justified: bounded by SCAN_RESTARTS, with the locked
-                // fallback below when the budget is exhausted.
-                for _ in 0..SCAN_RESTARTS {
-                    match self.scan_table_optimistic(
-                        table, &guard, start_sk, start_key, from_start, count, out,
-                    ) {
-                        Some(done) => {
-                            if restarts > 0 {
-                                // relaxed: monotonic advisory counter.
-                                self.read_retries.fetch_add(restarts, Ordering::Relaxed);
-                                obs::counter!("read.retries").add(restarts);
-                            }
-                            return done;
-                        }
-                        None => restarts += 1,
-                    }
-                }
-                if restarts > 0 {
-                    // relaxed: monotonic advisory counter.
-                    self.read_retries.fetch_add(restarts, Ordering::Relaxed);
-                    obs::counter!("read.retries").add(restarts);
-                }
-            }
-            // relaxed: monotonic advisory counter.
-            self.read_fallbacks.fetch_add(1, Ordering::Relaxed);
-            obs::counter!("read.fallbacks").inc();
-        }
-        self.scan_table_locked(table, start_sk, start_key, from_start, count, out)
+        let halves = seg.split(core.m_total, p);
+        core.install_split(table, &mut dir, sk, ld, Some(seg), halves);
     }
 }
 
@@ -742,77 +278,45 @@ impl Default for ConcurrentDyTis {
 
 impl ConcurrentKvIndex for ConcurrentDyTis {
     fn insert(&self, key: Key, value: Value) {
-        let table = &self.tables[self.table_of(key)];
-        let sk = self.sub_key(key);
-        let mut guard = 0u32;
-        while !self.insert_fast(table, sk, key, value) {
-            guard += 1;
-            assert!(guard < 10_000, "concurrent insert failed to converge");
-            // relaxed: monotonic advisory counter (lock-acquisition retries).
-            self.insert_retries.fetch_add(1, Ordering::Relaxed);
-            obs::counter!("cdytis.insert_retries").inc();
-            self.maintain(table, sk);
-        }
+        self.core.insert(
+            key,
+            |table, sk| self.insert_fast(table, sk, key, value),
+            |table, sk| self.maintain(table, sk),
+        );
     }
 
     fn get(&self, key: Key) -> Option<Value> {
-        let table = &self.tables[self.table_of(key)];
-        let sk = self.sub_key(key);
-        if self.optimistic_enabled() {
-            if let Some(v) = self.get_optimistic(table, sk, key) {
-                return v;
-            }
-            // relaxed: monotonic advisory counter.
-            self.read_fallbacks.fetch_add(1, Ordering::Relaxed);
-            obs::counter!("read.fallbacks").inc();
-        }
-        self.get_locked(table, sk, key)
+        self.core.get(key)
     }
 
     fn remove(&self, key: Key) -> Option<Value> {
-        let table = &self.tables[self.table_of(key)];
-        let sk = self.sub_key(key);
+        let core = &self.core;
+        let table = &core.tables[core.table_of(key)];
+        let sk = core.sub_key(key);
+        let p = &core.params;
         let dir = table.dir.read();
-        let mut seg = dir.entries[Self::dir_index(&dir, sk, self.m_total)].write();
-        let m = self.m_total - seg.local_depth;
-        let k = sk & mask64(m);
-        let b = seg.bucket_of(k, self.m_total);
+        let mut seg = dir.entries[core.dir_index(&dir, sk)].write();
+        let b = seg.bucket_of(seg.local_key(sk, core.m_total), core.m_total);
         let v = seg.remove_from_bucket(b, key)?;
         // Release pairs with the Acquire loads in `len()` and the audit.
         table.num_keys.fetch_sub(1, Ordering::Release);
         // Deletion merge (§3.3): a shrink only changes the segment object's
         // contents, so the segment write lock suffices (§3.4).
         if seg.total_buckets() > 1
-            && seg.utilization(&self.params) < self.params.shrink_threshold
-            && seg.shrink(self.m_total, &self.params)
+            && seg.utilization(p) < p.shrink_threshold
+            && seg.shrink(core.m_total, p)
         {
-            // relaxed: monotonic stats counter, read after quiescence.
-            table.shrinks.fetch_add(1, Ordering::Relaxed);
-            obs::counter!("cdytis.shrink").inc();
+            core.record(table, Event::Shrink);
         }
         Some(v)
     }
 
     fn scan(&self, start: Key, count: usize, out: &mut Vec<(Key, Value)>) {
-        let first = self.table_of(start);
-        let sk = self.sub_key(start);
-        if self.scan_table(&self.tables[first], sk, start, false, count, out) {
-            return;
-        }
-        for t in &self.tables[first + 1..] {
-            if self.scan_table(t, 0, 0, true, count, out) {
-                return;
-            }
-        }
+        self.core.scan(start, count, out);
     }
 
     fn len(&self) -> usize {
-        self.tables
-            .iter()
-            // Acquire pairs with the Release key-count updates so `len()`
-            // reflects every completed insert/remove.
-            .map(|t| t.num_keys.load(Ordering::Acquire))
-            .sum()
+        self.core.len()
     }
 
     fn name(&self) -> &'static str {
@@ -821,510 +325,11 @@ impl ConcurrentKvIndex for ConcurrentDyTis {
 }
 
 impl Auditable for ConcurrentDyTis {
-    /// Deep audit under the documented lock order: per table, the directory
-    /// read lock is taken first, then each segment's read lock in directory
-    /// order (one at a time). Must not be called by a thread already
-    /// holding one of this index's locks.
-    ///
-    /// On top of the structural invariants, the audit checks the
-    /// optimistic-read machinery: segment versions must be even while the
-    /// auditor holds the segment read lock (`seg-version-even`), reachable
-    /// segments must not be marked retired (`seg-live`), the published
-    /// snapshot must mirror the live directory (`dir-snapshot-coherent`),
-    /// and with no readers pinned a collect must leave no garbage behind
-    /// (`epoch-quiescent`).
+    /// Deep audit under the documented lock order (directory read lock,
+    /// then each segment's read lock in directory order); see the shared
+    /// core for the optimistic-read checks. Must not be called by a thread
+    /// already holding one of this index's locks.
     fn audit(&self) -> AuditReport {
-        let mut report = AuditReport::new("DyTIS (concurrent)");
-        for (t, table) in self.tables.iter().enumerate() {
-            let dir = table.dir.read();
-            let gd = dir.global_depth;
-            report.check(dir.entries.len() == 1usize << gd, "dir-size", || {
-                (
-                    format!("table {t}"),
-                    format!("directory has {} entries at GD {gd}", dir.entries.len()),
-                )
-            });
-            let mut total = 0usize;
-            let mut last_key: Option<Key> = None;
-            let mut idx = 0usize;
-            while idx < dir.entries.len() {
-                let cseg = &dir.entries[idx];
-                let seg = cseg.data.read();
-                // Holding the segment read lock excludes writers, whose
-                // mutation window is exactly the odd-version window.
-                let v = cseg.version.load(Ordering::SeqCst);
-                report.check(v & 1 == 0, "seg-version-even", || {
-                    (
-                        format!("table {t} / dir[{idx}]"),
-                        format!("version {v} is odd with no writer able to hold the lock"),
-                    )
-                });
-                report.check(!cseg.retired.load(Ordering::SeqCst), "seg-live", || {
-                    (
-                        format!("table {t} / dir[{idx}]"),
-                        "directory-reachable segment is marked retired".into(),
-                    )
-                });
-                let ld = seg.local_depth;
-                if !report.check(ld <= gd, "local-depth", || {
-                    (
-                        format!("table {t} / dir[{idx}]"),
-                        format!("local_depth {ld} exceeds global_depth {gd}"),
-                    )
-                }) {
-                    idx += 1;
-                    continue;
-                }
-                let span = 1usize << (gd - ld);
-                report.check(idx.is_multiple_of(span), "dir-alignment", || {
-                    (
-                        format!("table {t} / dir[{idx}]"),
-                        format!("segment (span {span}) starts unaligned"),
-                    )
-                });
-                let end = (idx + span).min(dir.entries.len());
-                report.check(
-                    dir.entries[idx..end]
-                        .iter()
-                        .all(|e| Arc::ptr_eq(e, &dir.entries[idx])),
-                    "dir-coverage",
-                    || {
-                        (
-                            format!("table {t} / dir[{idx}..{end}]"),
-                            "span mixes directory targets".into(),
-                        )
-                    },
-                );
-                let loc = format!("table {t} / dir[{idx}]");
-                crate::audit::audit_segment(&seg, self.m_total, &self.params, &loc, &mut report);
-                if let Some((first, last)) = crate::audit::segment_key_bounds(&seg) {
-                    let prefix = (idx / span) as u64;
-                    let shift = self.m_total - ld;
-                    for key in [first, last] {
-                        let sk = key & mask64(self.m_total);
-                        report.check(ld == 0 || sk >> shift == prefix, "key-range", || {
-                            (
-                                loc.clone(),
-                                format!("key {key:#x} outside directory prefix {prefix:#x}"),
-                            )
-                        });
-                    }
-                    report.check(
-                        last_key.is_none_or(|p| p < first),
-                        "table-key-order",
-                        || {
-                            (
-                                loc.clone(),
-                                format!(
-                                    "first key {first:#x} not above previous segment's {last_key:?}"
-                                ),
-                            )
-                        },
-                    );
-                    last_key = Some(last);
-                }
-                total += seg.num_keys;
-                idx += span;
-            }
-            report.check(
-                total == table.num_keys.load(Ordering::Acquire),
-                "table-key-count",
-                || {
-                    (
-                        format!("table {t}"),
-                        format!(
-                            "segments hold {total} keys, table claims {}",
-                            table.num_keys.load(Ordering::Acquire)
-                        ),
-                    )
-                },
-            );
-            // Snapshot coherence: publishes happen under the directory
-            // write lock, which our read lock excludes, so the published
-            // snapshot must mirror the live directory exactly. Skipped only
-            // if every epoch slot is busy (pure reader traffic).
-            if let Some(guard) = self.epoch.pin() {
-                let snap = table.snap.load(&guard);
-                let coherent = snap.generation == dir.generation
-                    && snap.global_depth == dir.global_depth
-                    && snap.entries.len() == dir.entries.len()
-                    && snap
-                        .entries
-                        .iter()
-                        .zip(&dir.entries)
-                        .all(|(a, b)| Arc::ptr_eq(a, b));
-                report.check(coherent, "dir-snapshot-coherent", || {
-                    (
-                        format!("table {t}"),
-                        format!(
-                            "snapshot gen {} / GD {} / {} entries vs directory gen {} / GD {} / {} entries",
-                            snap.generation,
-                            snap.global_depth,
-                            snap.entries.len(),
-                            dir.generation,
-                            dir.global_depth,
-                            dir.entries.len()
-                        ),
-                    )
-                });
-            }
-        }
-        // Epoch quiescence: with no reader pinned, collecting must drain
-        // the garbage list. Readers pinning concurrently legitimately defer
-        // frees, so the check self-skips unless quiescence holds across the
-        // collect (bounded re-tries absorb the transient races).
-        // justified: bounded to 4 rounds, then the check is skipped.
-        for _ in 0..4 {
-            if !self.epoch.quiescent() {
-                break;
-            }
-            self.epoch.collect();
-            let pending = self.epoch.stats().pending;
-            if !self.epoch.quiescent() {
-                // A reader pinned mid-collect: the pending count is not
-                // evidence of a leak. Retry the round.
-                continue;
-            }
-            report.check(pending == 0, "epoch-quiescent", || {
-                (
-                    "epoch collector".into(),
-                    format!("{pending} garbage item(s) survive a quiescent collect"),
-                )
-            });
-            break;
-        }
-        report
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::Arc as StdArc;
-
-    fn small() -> ConcurrentDyTis {
-        ConcurrentDyTis::with_params(Params::small())
-    }
-
-    #[test]
-    fn single_thread_roundtrip() {
-        let idx = small();
-        for k in 0..6_000u64 {
-            idx.insert(k * 3, k);
-        }
-        assert_eq!(idx.len(), 6_000);
-        for k in (0..6_000u64).step_by(77) {
-            assert_eq!(idx.get(k * 3), Some(k));
-        }
-        let mut out = Vec::new();
-        idx.scan(0, 1_000, &mut out);
-        assert_eq!(out.len(), 1_000);
-        assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
-    }
-
-    #[test]
-    fn locked_read_mode_matches_optimistic() {
-        let idx = small();
-        for k in 0..6_000u64 {
-            idx.insert(k.wrapping_mul(0x9E3779B97F4A7C15), k);
-        }
-        idx.set_locked_reads(true);
-        for k in (0..6_000u64).step_by(31) {
-            assert_eq!(idx.get(k.wrapping_mul(0x9E3779B97F4A7C15)), Some(k));
-        }
-        let mut locked = Vec::new();
-        idx.scan(0, 500, &mut locked);
-        idx.set_locked_reads(false);
-        for k in (0..6_000u64).step_by(31) {
-            assert_eq!(idx.get(k.wrapping_mul(0x9E3779B97F4A7C15)), Some(k));
-        }
-        let mut optimistic = Vec::new();
-        idx.scan(0, 500, &mut optimistic);
-        assert_eq!(locked, optimistic);
-    }
-
-    #[test]
-    fn maintenance_retires_snapshots_through_the_collector() {
-        let idx = small();
-        for k in 0..6_000u64 {
-            idx.insert(k * 3, k);
-        }
-        let st = idx.epoch_stats();
-        assert!(
-            st.deferred > 0,
-            "splits/doublings must retire old snapshots"
-        );
-        assert_eq!(
-            st.freed, st.deferred,
-            "no reader pinned: everything must be freed"
-        );
-        assert_eq!(st.pending, 0);
-    }
-
-    #[test]
-    fn concurrent_disjoint_inserts() {
-        let idx = StdArc::new(small());
-        let threads = 4;
-        let per = 10_000u64;
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let idx = StdArc::clone(&idx);
-                std::thread::spawn(move || {
-                    for i in 0..per {
-                        let k = (t as u64) * per + i;
-                        idx.insert(k.wrapping_mul(0x9E3779B97F4A7C15), k);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(idx.len(), threads as usize * per as usize);
-        for t in 0..threads as u64 {
-            for i in (0..per).step_by(97) {
-                let k = t * per + i;
-                assert_eq!(idx.get(k.wrapping_mul(0x9E3779B97F4A7C15)), Some(k));
-            }
-        }
-    }
-
-    #[test]
-    fn concurrent_overlapping_upserts() {
-        let idx = StdArc::new(small());
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let idx = StdArc::clone(&idx);
-                std::thread::spawn(move || {
-                    for i in 0..5_000u64 {
-                        idx.insert(i, i + 1);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(idx.len(), 5_000);
-        for i in (0..5_000u64).step_by(53) {
-            assert_eq!(idx.get(i), Some(i + 1));
-        }
-    }
-
-    #[test]
-    fn concurrent_readers_and_writers() {
-        let idx = StdArc::new(small());
-        for i in 0..5_000u64 {
-            idx.insert(i * 2, i);
-        }
-        let writer = {
-            let idx = StdArc::clone(&idx);
-            std::thread::spawn(move || {
-                for i in 5_000..15_000u64 {
-                    idx.insert(i * 2, i);
-                }
-            })
-        };
-        let reader = {
-            let idx = StdArc::clone(&idx);
-            std::thread::spawn(move || {
-                let mut hits = 0;
-                for _ in 0..3 {
-                    for i in 0..5_000u64 {
-                        if idx.get(i * 2) == Some(i) {
-                            hits += 1;
-                        }
-                    }
-                }
-                hits
-            })
-        };
-        let scanner = {
-            let idx = StdArc::clone(&idx);
-            std::thread::spawn(move || {
-                let mut out = Vec::new();
-                for _ in 0..50 {
-                    out.clear();
-                    idx.scan(0, 100, &mut out);
-                    assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
-                }
-            })
-        };
-        writer.join().unwrap();
-        assert_eq!(reader.join().unwrap(), 15_000);
-        scanner.join().unwrap();
-        assert_eq!(idx.len(), 15_000);
-    }
-
-    #[test]
-    fn audit_clean_after_concurrent_growth() {
-        let idx = StdArc::new(small());
-        let handles: Vec<_> = (0..4u64)
-            .map(|t| {
-                let idx = StdArc::clone(&idx);
-                std::thread::spawn(move || {
-                    for i in 0..5_000u64 {
-                        idx.insert((t * 5_000 + i).wrapping_mul(0x9E3779B97F4A7C15), i);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("writer");
-        }
-        let report = idx.audit();
-        assert!(report.checks > 20_000);
-        report.assert_clean();
-    }
-
-    #[test]
-    fn audit_detects_corrupted_segment_key_count() {
-        let idx = small();
-        for k in 0..2_000u64 {
-            idx.insert(k, k);
-        }
-        idx.audit().assert_clean();
-        {
-            let dir = idx.tables[0].dir.read();
-            let mut seg = dir.entries[0].data.write();
-            seg.num_keys += 1;
-        }
-        let report = idx.audit();
-        assert!(!report.is_clean());
-        assert!(report
-            .violations
-            .iter()
-            .any(|v| v.invariant == "segment-key-count" || v.invariant == "table-key-count"));
-    }
-
-    #[test]
-    fn audit_detects_torn_segment_version() {
-        let idx = small();
-        for k in 0..2_000u64 {
-            idx.insert(k, k);
-        }
-        idx.audit().assert_clean();
-        // SEEDED CORRUPTION: leave a version odd with no writer present, as
-        // if a mutation window never closed.
-        {
-            let dir = idx.tables[0].dir.read();
-            dir.entries[0].version.fetch_add(1, Ordering::SeqCst);
-        }
-        let report = idx.audit();
-        assert!(report
-            .violations
-            .iter()
-            .any(|v| v.invariant == "seg-version-even"));
-    }
-
-    #[test]
-    fn audit_detects_retired_live_segment() {
-        let idx = small();
-        for k in 0..2_000u64 {
-            idx.insert(k, k);
-        }
-        idx.audit().assert_clean();
-        // SEEDED CORRUPTION: a reachable segment must never be retired.
-        {
-            let dir = idx.tables[0].dir.read();
-            dir.entries[0].retired.store(true, Ordering::SeqCst);
-        }
-        let report = idx.audit();
-        assert!(report.violations.iter().any(|v| v.invariant == "seg-live"));
-    }
-
-    #[test]
-    fn audit_detects_stale_snapshot() {
-        let idx = small();
-        for k in 0..2_000u64 {
-            idx.insert(k, k);
-        }
-        idx.audit().assert_clean();
-        // SEEDED CORRUPTION: publish a snapshot that does not mirror the
-        // live directory (wrong generation, truncated entries).
-        {
-            let dir = idx.tables[0].dir.read();
-            idx.tables[0].snap.swap(
-                Box::new(DirSnapshot {
-                    generation: dir.generation + 999,
-                    global_depth: dir.global_depth,
-                    entries: dir.entries.clone(),
-                }),
-                &idx.epoch,
-            );
-        }
-        let report = idx.audit();
-        assert!(report
-            .violations
-            .iter()
-            .any(|v| v.invariant == "dir-snapshot-coherent"));
-    }
-
-    #[test]
-    fn audit_detects_unreclaimed_epoch_garbage() {
-        let idx = small();
-        for k in 0..2_000u64 {
-            idx.insert(k, k);
-        }
-        idx.audit().assert_clean();
-        // SEEDED CORRUPTION: garbage stamped so no collect can free it —
-        // the audit's quiescent collect must notice the leak.
-        idx.epoch.retire_uncollectable(Box::new(0u64));
-        let report = idx.audit();
-        assert!(report
-            .violations
-            .iter()
-            .any(|v| v.invariant == "epoch-quiescent"));
-    }
-
-    #[test]
-    fn read_hammer_fires_retries_and_deferred_frees() {
-        // Writer splits/doubles under tiny geometry while readers spin:
-        // the optimistic machinery must demonstrably fire, not idle.
-        let idx = StdArc::new(small());
-        for i in 0..2_000u64 {
-            idx.insert(i * 4, i);
-        }
-        let stop = StdArc::new(std::sync::atomic::AtomicBool::new(false));
-        let readers: Vec<_> = (0..3)
-            .map(|_| {
-                let idx = StdArc::clone(&idx);
-                let stop = StdArc::clone(&stop);
-                std::thread::spawn(move || {
-                    let mut out = Vec::new();
-                    while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                        for i in (0..2_000u64).step_by(7) {
-                            assert_eq!(idx.get(i * 4), Some(i));
-                        }
-                        out.clear();
-                        idx.scan(0, 64, &mut out);
-                        assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
-                    }
-                })
-            })
-            .collect();
-        for i in 2_000..30_000u64 {
-            idx.insert(i * 4 + 1, i);
-        }
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        for r in readers {
-            r.join().unwrap();
-        }
-        let st = idx.epoch_stats();
-        assert!(st.deferred > 0, "maintenance must retire snapshots");
-        idx.audit().assert_clean();
-    }
-
-    #[test]
-    fn remove_concurrent_smoke() {
-        let idx = small();
-        for i in 0..1_000u64 {
-            idx.insert(i, i);
-        }
-        for i in 0..500u64 {
-            assert_eq!(idx.remove(i), Some(i));
-        }
-        assert_eq!(idx.len(), 500);
-        assert_eq!(idx.remove(0), None);
+        self.core.audit("DyTIS (concurrent)")
     }
 }

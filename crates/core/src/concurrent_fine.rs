@@ -14,11 +14,11 @@
 //! and the rebuild cost of converting between locked and plain bucket
 //! arrays are exactly the overheads the paper calls out.
 //!
-//! Like [`crate::ConcurrentDyTis`], reads are optimistic (DESIGN.md §14):
-//! they probe an epoch-published directory snapshot without the directory
-//! lock, validating a per-slot version counter around the probe. One
-//! difference from the coarse variant: bucket contents mutate under the
-//! segment *read* lock, so the slot version is bumped only around the
+//! Like [`crate::ConcurrentDyTis`], reads are optimistic (DESIGN.md §14)
+//! and run on the shared core (`concurrent_core.rs`), which owns the
+//! snapshots, the versioned slots, the split/doubling tail and the audit.
+//! One difference from the coarse variant: bucket contents mutate under
+//! the segment *read* lock, so the slot version is bumped only around the
 //! *structural* mutations that hold the segment write lock (in-place
 //! remap/expand swaps). Bucket-level consistency comes from a second,
 //! per-bucket seqlock ([`FineBucket`]): writers serialize on the bucket
@@ -29,18 +29,16 @@
 
 use crate::bucket::Bucket;
 pub use crate::concurrent::ReadStats;
-use crate::epoch::{Collector, EpochPtr, EpochStats, Guard};
+use crate::concurrent_core::{Core, Event, SegmentKind, Table};
+use crate::epoch::EpochStats;
 use crate::params::Params;
 use crate::remap::{mask64, RemapFn};
 use crate::segment::{RemapOutcome, Segment};
-use crate::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use crate::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockWriteGuard};
+use crate::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
+use crate::sync::{Arc, Mutex, MutexGuard};
 use index_traits::{AuditReport, Auditable, ConcurrentKvIndex, Key, Value};
+use std::borrow::Cow;
 
-/// Optimistic probe attempts per `get` before falling back to locks.
-const READ_RETRIES: usize = 8;
-/// Optimistic restarts per table in `scan` before falling back to locks.
-const SCAN_RESTARTS: usize = 4;
 /// Seqlock read attempts per bucket before the surrounding operation
 /// reports contention (retrying at its own level or falling back).
 const BUCKET_RETRIES: usize = 4;
@@ -214,17 +212,8 @@ impl FineBucket {
         let base = out.len();
         // relaxed: bounded by capacity below; validated before use.
         let n = self.len.load(Ordering::Relaxed).min(self.keys.len());
-        let i0 = match start {
-            Some(k) => self.lower_bound_relaxed(k, n),
-            None => 0,
-        };
-        for i in i0..n.min(i0 + max) {
-            // relaxed: validated below; a torn pair is truncated away.
-            out.push((
-                self.keys[i].load(Ordering::Relaxed),
-                self.vals[i].load(Ordering::Relaxed),
-            ));
-        }
+        // A torn pair is truncated away below.
+        self.append_relaxed(start, max, n, out);
         if self.validate(v0) {
             Ok(())
         } else {
@@ -238,12 +227,22 @@ impl FineBucket {
         let _g = self.lock.lock();
         // relaxed: the writer lock excludes mutators.
         let n = self.len.load(Ordering::Relaxed);
-        let i0 = match start {
-            Some(k) => self.lower_bound_relaxed(k, n),
-            None => 0,
-        };
+        self.append_relaxed(start, max, n, out);
+    }
+
+    /// Appends up to `max` of the first `n` pairs to `out`, from the first
+    /// key `>= start` (slot 0 when `start` is `None`). Same stability
+    /// contract as [`FineBucket::lower_bound_relaxed`].
+    fn append_relaxed(
+        &self,
+        start: Option<Key>,
+        max: usize,
+        n: usize,
+        out: &mut Vec<(Key, Value)>,
+    ) {
+        let i0 = start.map_or(0, |k| self.lower_bound_relaxed(k, n));
         for i in i0..n.min(i0 + max) {
-            // relaxed: see above.
+            // relaxed: see lower_bound_relaxed.
             out.push((
                 self.keys[i].load(Ordering::Relaxed),
                 self.vals[i].load(Ordering::Relaxed),
@@ -348,11 +347,11 @@ impl FineBucketWrite<'_> {
 }
 
 /// A segment whose buckets are individually seqlocked.
-struct FineSegment {
+pub(crate) struct FineSegment {
     local_depth: u32,
     remap: RemapFn,
     buckets: Vec<FineBucket>,
-    num_keys: AtomicUsize,
+    pub(crate) num_keys: AtomicUsize,
     remap_streak: u32,
 }
 
@@ -389,120 +388,146 @@ impl FineSegment {
         }
     }
 
+    /// Within-segment key of EH sub-key `sk`.
+    #[inline]
+    fn local_key(&self, sk: u64, m_total: u32) -> u64 {
+        sk & mask64(m_total - self.local_depth)
+    }
+
     #[inline]
     fn bucket_of(&self, k: u64, m_total: u32) -> usize {
         self.remap.bucket_index(k, m_total - self.local_depth)
     }
+
+    /// Routes `sk`: target bucket index plus the remap's in-bucket slot
+    /// hint (shared by both probe paths).
+    #[inline]
+    fn route(&self, sk: u64, m_total: u32, p: &Params) -> (usize, usize) {
+        let m = m_total - self.local_depth;
+        let k = sk & mask64(m);
+        (
+            self.remap.bucket_index(k, m),
+            self.remap.slot_hint(k, m, p.bucket_entries),
+        )
+    }
+
+    /// Walks the buckets from `start` (see [`SegmentKind::walk_optimistic`]),
+    /// appending each one's pairs with `read`, which returns `false` when
+    /// its bucket stayed contended; the walk then gives up with `None`.
+    /// Bucket indices are monotone in the key, so only the very first
+    /// bucket can hold keys `< start` and needs a lower bound.
+    fn walk(
+        &self,
+        start: Option<(u64, Key)>,
+        count: usize,
+        out: &mut Vec<(Key, Value)>,
+        m_total: u32,
+        mut read: impl FnMut(&FineBucket, Option<Key>, usize, &mut Vec<(Key, Value)>) -> bool,
+    ) -> Option<bool> {
+        let (mut b, mut from) = match start {
+            Some((sk, key)) => (
+                self.bucket_of(self.local_key(sk, m_total), m_total),
+                Some(key),
+            ),
+            None => (0, None),
+        };
+        let nb = self.buckets.len();
+        while b < nb {
+            if out.len() >= count {
+                return Some(true);
+            }
+            // Hint the next bucket's key array in while this one copies
+            // (same rationale as `Segment::walk_from`).
+            if b + 1 < nb {
+                crate::simd::prefetch_slice(&self.buckets[b + 1].keys);
+            }
+            if !read(&self.buckets[b], from, count - out.len(), out) {
+                return None;
+            }
+            from = None;
+            b += 1;
+        }
+        Some(out.len() >= count)
+    }
 }
 
-/// A shared fine-grained segment plus the optimistic-read metadata.
-/// Unlike the coarse variant's `CSeg`, the version counter brackets only
-/// the structural mutations that hold `seg`'s write lock (see module doc).
-struct FineSlot {
-    version: AtomicU64,
-    retired: AtomicBool,
-    seg: RwLock<FineSegment>,
-}
+impl SegmentKind for FineSegment {
+    #[inline]
+    fn local_depth(&self) -> u32 {
+        self.local_depth
+    }
 
-impl FineSlot {
-    fn new(seg: FineSegment) -> Arc<FineSlot> {
-        Arc::new(FineSlot {
-            version: AtomicU64::new(0),
-            retired: AtomicBool::new(false),
-            seg: RwLock::new(seg),
+    /// Lock-free bucket probe under the per-bucket seqlock — the hit path
+    /// of a fine-variant `get` acquires no lock at all.
+    fn probe_optimistic(
+        &self,
+        sk: u64,
+        key: Key,
+        m_total: u32,
+        p: &Params,
+    ) -> Option<Option<Value>> {
+        let (b, hint) = self.route(sk, m_total, p);
+        let bucket = &self.buckets[b];
+        // justified: bounded by BUCKET_RETRIES; a persistently contended
+        // bucket charges a retry to the core instead.
+        (0..BUCKET_RETRIES).find_map(|_| bucket.probe_optimistic(key, hint).ok())
+    }
+
+    fn probe_locked(&self, sk: u64, key: Key, m_total: u32, p: &Params) -> Option<Value> {
+        let (b, hint) = self.route(sk, m_total, p);
+        self.buckets[b].probe_locked(key, hint)
+    }
+
+    fn walk_optimistic(
+        &self,
+        start: Option<(u64, Key)>,
+        count: usize,
+        out: &mut Vec<(Key, Value)>,
+        m_total: u32,
+    ) -> Option<bool> {
+        self.walk(start, count, out, m_total, |bucket, from, max, out| {
+            // justified: bounded by BUCKET_RETRIES; the core restarts or
+            // falls back to the locked walk.
+            (0..BUCKET_RETRIES).any(|_| bucket.read_range_optimistic(from, max, out).is_ok())
         })
     }
 
-    /// Write-locks the segment for a structural mutation, bracketing it
-    /// with version bumps (odd while held).
-    fn write(&self) -> FineSlotWrite<'_> {
-        let guard = self.seg.write();
-        self.version.fetch_add(1, Ordering::SeqCst);
-        FineSlotWrite { slot: self, guard }
+    fn walk_locked(
+        &self,
+        start: Option<(u64, Key)>,
+        count: usize,
+        out: &mut Vec<(Key, Value)>,
+        m_total: u32,
+    ) -> bool {
+        let walked = self.walk(start, count, out, m_total, |bucket, from, max, out| {
+            bucket.read_range_locked(from, max, out);
+            true
+        });
+        walked == Some(true)
     }
-}
 
-/// Write guard that brackets the structural mutation with version bumps.
-struct FineSlotWrite<'a> {
-    slot: &'a FineSlot,
-    guard: RwLockWriteGuard<'a, FineSegment>,
-}
-
-impl std::ops::Deref for FineSlotWrite<'_> {
-    type Target = FineSegment;
-    fn deref(&self) -> &FineSegment {
-        &self.guard
+    /// The plain-segment conversion, taking each bucket lock in turn.
+    fn audit_view(&self) -> Cow<'_, Segment> {
+        Cow::Owned(self.to_segment())
     }
-}
 
-impl std::ops::DerefMut for FineSlotWrite<'_> {
-    fn deref_mut(&mut self) -> &mut FineSegment {
-        &mut self.guard
-    }
-}
-
-impl Drop for FineSlotWrite<'_> {
-    fn drop(&mut self) {
-        // Runs before `guard` drops: back to even while the lock is held.
-        self.slot.version.fetch_add(1, Ordering::SeqCst);
-    }
-}
-
-/// Immutable directory snapshot published to readers.
-struct FineSnapshot {
-    generation: u64,
-    global_depth: u32,
-    entries: Vec<Arc<FineSlot>>,
-}
-
-struct FineDir {
-    global_depth: u32,
-    /// Bumped by every structural change; the snapshot must mirror it.
-    generation: u64,
-    entries: Vec<Arc<FineSlot>>,
-}
-
-struct FineEh {
-    dir: RwLock<FineDir>,
-    snap: EpochPtr<FineSnapshot>,
-    num_keys: AtomicUsize,
-}
-
-impl FineEh {
-    /// Re-publishes the directory as a fresh snapshot, retiring the old
-    /// one through `epoch`. Caller must hold the directory write lock.
-    fn publish(&self, dir: &FineDir, epoch: &Collector) {
-        self.snap.swap(
-            Box::new(FineSnapshot {
-                generation: dir.generation,
-                global_depth: dir.global_depth,
-                entries: dir.entries.clone(),
-            }),
-            epoch,
-        );
+    fn counter(event: Event) -> &'static obs::Counter {
+        match event {
+            Event::Split => obs::counter!("cdytis_fine.split"),
+            Event::Double => obs::counter!("cdytis_fine.double"),
+            Event::Remap => obs::counter!("cdytis_fine.remap"),
+            Event::Expand => obs::counter!("cdytis_fine.expand"),
+            // Never recorded: this variant does not merge on delete.
+            Event::Shrink => obs::counter!("cdytis_fine.shrink"),
+            Event::InsertRetry => obs::counter!("cdytis_fine.insert_retries"),
+        }
     }
 }
 
 /// Concurrent DyTIS with per-bucket locks (ablation variant; prefer
 /// [`crate::ConcurrentDyTis`], which the paper found faster).
 pub struct ConcurrentDyTisFine {
-    params: Params,
-    tables: Vec<FineEh>,
-    m_total: u32,
-    /// Epoch collector for retired directory snapshots.
-    epoch: Collector,
-    /// When set, `get`/`scan` skip the optimistic path (baseline mode).
-    locked_reads: AtomicBool,
-    /// Times an insert lost its fast path to contention or a pending
-    /// structural fix and had to retry through `maintain`.
-    insert_retries: AtomicU64,
-    read_retries: AtomicU64,
-    read_fallbacks: AtomicU64,
-    read_locked: AtomicU64,
-    splits: AtomicU64,
-    expansions: AtomicU64,
-    remaps: AtomicU64,
-    doublings: AtomicU64,
+    pub(crate) core: Core<FineSegment>,
 }
 
 impl ConcurrentDyTisFine {
@@ -517,44 +542,10 @@ impl ConcurrentDyTisFine {
     ///
     /// Panics if `first_level_bits` is outside `1..=16`.
     pub fn with_params(params: Params) -> Self {
-        let r = params.first_level_bits;
-        assert!((1..=16).contains(&r));
-        let m_total = 64 - r;
-        let tables = (0..(1usize << r))
-            .map(|_| {
-                let entries = vec![FineSlot::new(FineSegment::from_segment(
-                    Segment::new(0),
-                    params.bucket_entries,
-                ))];
-                FineEh {
-                    snap: EpochPtr::new(Box::new(FineSnapshot {
-                        generation: 0,
-                        global_depth: 0,
-                        entries: entries.clone(),
-                    })),
-                    dir: RwLock::new(FineDir {
-                        global_depth: 0,
-                        generation: 0,
-                        entries,
-                    }),
-                    num_keys: AtomicUsize::new(0),
-                }
-            })
-            .collect();
         ConcurrentDyTisFine {
-            params,
-            tables,
-            m_total,
-            epoch: Collector::new(),
-            locked_reads: AtomicBool::new(false),
-            insert_retries: AtomicU64::new(0),
-            read_retries: AtomicU64::new(0),
-            read_fallbacks: AtomicU64::new(0),
-            read_locked: AtomicU64::new(0),
-            splits: AtomicU64::new(0),
-            expansions: AtomicU64::new(0),
-            remaps: AtomicU64::new(0),
-            doublings: AtomicU64::new(0),
+            core: Core::new(params, |p| {
+                FineSegment::from_segment(Segment::new(0), p.bucket_entries)
+            }),
         }
     }
 
@@ -564,171 +555,43 @@ impl ConcurrentDyTisFine {
     /// (its remove path only takes a bucket latch), so `shrinks` reads 0
     /// by construction.
     pub fn maintenance_stats(&self) -> index_traits::MaintenanceStats {
-        index_traits::MaintenanceStats {
-            // relaxed: monotonic advisory counters; exact totals are only
-            // required after the writing threads have been joined.
-            splits: self.splits.load(Ordering::Relaxed),
-            // relaxed: see above.
-            expansions: self.expansions.load(Ordering::Relaxed),
-            // relaxed: see above.
-            remaps: self.remaps.load(Ordering::Relaxed),
-            // relaxed: see above.
-            doublings: self.doublings.load(Ordering::Relaxed),
-            ..Default::default()
-        }
+        self.core.maintenance_stats()
     }
 
-    /// Times an insert had to retry through the slow path (see field doc).
+    /// Times an insert lost its fast path to contention or a pending
+    /// structural fix and had to retry through the slow path.
     pub fn insert_retries(&self) -> u64 {
-        // relaxed: monotonic advisory counter.
-        self.insert_retries.load(Ordering::Relaxed)
+        self.core.insert_retries()
     }
 
     /// Optimistic-read retry/fallback counters (see [`ReadStats`]).
     pub fn read_stats(&self) -> ReadStats {
-        ReadStats {
-            // relaxed: monotonic advisory counters.
-            retries: self.read_retries.load(Ordering::Relaxed),
-            // relaxed: see above.
-            fallbacks: self.read_fallbacks.load(Ordering::Relaxed),
-            // relaxed: see above.
-            locked: self.read_locked.load(Ordering::Relaxed),
-        }
+        self.core.read_stats()
     }
 
     /// Deferred-reclamation counters of the snapshot collector.
     pub fn epoch_stats(&self) -> EpochStats {
-        self.epoch.stats()
+        self.core.epoch_stats()
     }
 
     /// Forces `get`/`scan` onto the locked path (`true`) or back to
     /// optimistic reads (`false`, the default).
     pub fn set_locked_reads(&self, locked: bool) {
-        // relaxed: a mode toggle; it guards no data, and either path is
-        // correct at any moment.
-        self.locked_reads.store(locked, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn table_of(&self, key: Key) -> usize {
-        (key >> (64 - self.params.first_level_bits)) as usize
-    }
-
-    #[inline]
-    fn sub_key(&self, key: Key) -> u64 {
-        key & mask64(self.m_total)
-    }
-
-    #[inline]
-    fn dir_index(dir: &FineDir, sk: u64, m_total: u32) -> usize {
-        (sk >> (m_total - dir.global_depth)) as usize
-    }
-
-    #[inline]
-    fn snap_index(snap: &FineSnapshot, sk: u64, m_total: u32) -> usize {
-        (sk >> (m_total - snap.global_depth)) as usize
-    }
-
-    /// Whether reads should try the optimistic path first.
-    #[inline]
-    fn optimistic_enabled(&self) -> bool {
-        // relaxed: mode toggle, see `set_locked_reads`.
-        !self.locked_reads.load(Ordering::Relaxed)
-    }
-
-    /// Routes `sk` within `seg`: target bucket index plus the remap's
-    /// in-bucket slot hint (shared by both read paths).
-    #[inline]
-    fn route(&self, seg: &FineSegment, sk: u64) -> (usize, usize) {
-        let m = self.m_total - seg.local_depth;
-        let k = sk & mask64(m);
-        let b = seg.bucket_of(k, self.m_total);
-        let hint = seg.remap.slot_hint(k, m, self.params.bucket_entries);
-        (b, hint)
-    }
-
-    /// Optimistic `get`; `None` means "fall back to the locked path".
-    fn get_optimistic(&self, table: &FineEh, sk: u64, key: Key) -> Option<Option<Value>> {
-        let guard = self.epoch.pin()?;
-        let mut retries = 0u64;
-        let mut result = None;
-        // justified: bounded by READ_RETRIES, with a locked fallback in
-        // the caller when the budget is exhausted.
-        for _ in 0..READ_RETRIES {
-            let snap = table.snap.load(&guard);
-            let slot = &snap.entries[Self::snap_index(snap, sk, self.m_total)];
-            let v0 = slot.version.load(Ordering::SeqCst);
-            if v0 & 1 == 1 {
-                retries += 1; // Structural mutation mid-flight.
-                continue;
-            }
-            let Some(seg) = slot.seg.try_read() else {
-                retries += 1; // Structural writer holds the segment.
-                continue;
-            };
-            if slot.retired.load(Ordering::SeqCst) {
-                retries += 1; // Stale snapshot: reload and re-route.
-                continue;
-            }
-            // Lock-free bucket probe under the per-bucket seqlock — the
-            // hit path of a fine-variant `get` acquires no lock at all.
-            let (b, hint) = self.route(&seg, sk);
-            let bucket = &seg.buckets[b];
-            let mut probed = None;
-            // justified: bounded by BUCKET_RETRIES; a persistently
-            // contended bucket charges an outer retry instead.
-            for _ in 0..BUCKET_RETRIES {
-                if let Ok(v) = bucket.probe_optimistic(key, hint) {
-                    probed = Some(v);
-                    break;
-                }
-            }
-            let Some(v) = probed else {
-                retries += 1; // Bucket writer kept the seqlock busy.
-                continue;
-            };
-            drop(seg);
-            if slot.version.load(Ordering::SeqCst) == v0 {
-                result = Some(v);
-                break;
-            }
-            retries += 1; // Segment restructured while we probed.
-        }
-        if retries > 0 {
-            // relaxed: monotonic advisory counter.
-            self.read_retries.fetch_add(retries, Ordering::Relaxed);
-            obs::counter!("read.retries").add(retries);
-        }
-        result
-    }
-
-    /// Locked `get`: the original two-lock path (fallback + baseline).
-    fn get_locked(&self, table: &FineEh, sk: u64, key: Key) -> Option<Value> {
-        // relaxed: monotonic advisory counter.
-        self.read_locked.fetch_add(1, Ordering::Relaxed);
-        let dir = table.dir.read();
-        let seg = dir.entries[Self::dir_index(&dir, sk, self.m_total)]
-            .seg
-            .read();
-        let (b, hint) = self.route(&seg, sk);
-        seg.buckets[b].probe_locked(key, hint)
+        self.core.set_locked_reads(locked);
     }
 
     /// Fast path: directory read lock, segment read lock, ONE bucket
     /// write window. Returns false when maintenance is required.
-    fn insert_fast(&self, table: &FineEh, sk: u64, key: Key, value: Value) -> bool {
-        let p = &self.params;
+    fn insert_fast(&self, table: &Table<FineSegment>, sk: u64, key: Key, value: Value) -> bool {
+        let core = &self.core;
         let dir = table.dir.read();
-        let slot = Arc::clone(&dir.entries[Self::dir_index(&dir, sk, self.m_total)]);
-        let seg = slot.seg.read();
-        let m = self.m_total - seg.local_depth;
-        let k = sk & mask64(m);
-        let b = seg.bucket_of(k, self.m_total);
+        let seg = dir.entries[core.dir_index(&dir, sk)].seg.read();
+        let b = seg.bucket_of(seg.local_key(sk, core.m_total), core.m_total);
         let mut bucket = seg.buckets[b].write();
         if bucket.update(key, value) {
             return true;
         }
-        if bucket.len() < p.bucket_entries {
+        if bucket.len() < core.params.bucket_entries {
             bucket.insert(key, value);
             drop(bucket);
             // Release pairs with the Acquire loads in `len()`,
@@ -742,340 +605,49 @@ impl ConcurrentDyTisFine {
 
     /// Maintenance under the directory write lock: runs Algorithm 1 once on
     /// a plain-segment copy, then swaps the result back in.
-    fn maintain(&self, table: &FineEh, sk: u64) {
-        let p = &self.params;
+    fn maintain(&self, table: &Table<FineSegment>, sk: u64) {
+        let core = &self.core;
+        let p = &core.params;
         let mut dir = table.dir.write();
-        let idx = Self::dir_index(&dir, sk, self.m_total);
-        let slot = Arc::clone(&dir.entries[idx]);
+        let slot = Arc::clone(&dir.entries[core.dir_index(&dir, sk)]);
         let fine = slot.seg.read();
         let ld = fine.local_depth;
-        let m = self.m_total - ld;
-        let k = sk & mask64(m);
-        let b = fine.bucket_of(k, self.m_total);
-        if fine.buckets[b].live_len() < p.bucket_entries {
+        let k = fine.local_key(sk, core.m_total);
+        if fine.buckets[fine.bucket_of(k, core.m_total)].live_len() < p.bucket_entries {
             return; // Another thread already fixed it.
         }
         let mut seg = fine.to_segment();
         drop(fine);
-        let gd = dir.global_depth;
         let cap_buckets = p.segment_cap(ld, p.limit_mult);
 
-        // Algorithm 1, one step.
-        let warmup = ld < p.l_start;
+        // Algorithm 1, one step: remap or expand in place, else split.
         let high = seg.utilization(p) > p.utilization_threshold;
-        if !warmup
-            && ld < gd
-            && !high
-            && seg.remap_adjust(k, self.m_total, cap_buckets, p) != RemapOutcome::Failed
-        {
+        let fixed = if ld < p.l_start || (high && ld < dir.global_depth) {
+            None
+        } else if high {
+            seg.expand(core.m_total, cap_buckets, p)
+                .then_some(Event::Expand)
+        } else {
+            (seg.remap_adjust(k, core.m_total, cap_buckets, p) != RemapOutcome::Failed)
+                .then_some(Event::Remap)
+        };
+        if let Some(event) = fixed {
             // In-place swap under the slot's write lock, version-bracketed:
             // optimistic readers either lose the try_read or see the
             // version move and retry. Same slot Arc, so the published
             // snapshot stays valid.
             *slot.write() = FineSegment::from_segment(seg, p.bucket_entries);
-            // relaxed: monotonic stats counter, written under the directory
-            // write lock.
-            self.remaps.fetch_add(1, Ordering::Relaxed);
-            obs::counter!("cdytis_fine.remap").inc();
+            core.record(table, event);
             return;
         }
-        if !warmup && ld == gd {
-            let ok = if high {
-                let ok = seg.expand(self.m_total, cap_buckets, p);
-                if ok {
-                    // relaxed: monotonic stats counter, written under the
-                    // directory write lock.
-                    self.expansions.fetch_add(1, Ordering::Relaxed);
-                    obs::counter!("cdytis_fine.expand").inc();
-                }
-                ok
-            } else {
-                let ok = seg.remap_adjust(k, self.m_total, cap_buckets, p) != RemapOutcome::Failed;
-                if ok {
-                    // relaxed: monotonic stats counter, written under the
-                    // directory write lock.
-                    self.remaps.fetch_add(1, Ordering::Relaxed);
-                    obs::counter!("cdytis_fine.remap").inc();
-                }
-                ok
-            };
-            if ok {
-                *slot.write() = FineSegment::from_segment(seg, p.bucket_entries);
-                return;
-            }
-        }
-        // Split path (doubling first when LD == GD).
-        if ld == dir.global_depth {
-            let mut entries = Vec::with_capacity(dir.entries.len() * 2);
-            for e in &dir.entries {
-                entries.push(Arc::clone(e));
-                entries.push(Arc::clone(e));
-            }
-            dir.entries = entries;
-            dir.global_depth += 1;
-            // relaxed: monotonic stats counter, written under the directory
-            // write lock.
-            self.doublings.fetch_add(1, Ordering::Relaxed);
-            obs::counter!("cdytis_fine.double").inc();
-        }
-        let (left, right) = seg.split(self.m_total, p);
-        let gd = dir.global_depth;
-        let span = 1usize << (gd - (ld + 1));
-        let idx = Self::dir_index(&dir, sk, self.m_total);
-        let base = idx & !(span * 2 - 1);
-        let left = FineSlot::new(FineSegment::from_segment(left, p.bucket_entries));
-        let right = FineSlot::new(FineSegment::from_segment(right, p.bucket_entries));
-        for e in &mut dir.entries[base..base + span] {
-            *e = Arc::clone(&left);
-        }
-        for e in &mut dir.entries[base + span..base + 2 * span] {
-            *e = Arc::clone(&right);
-        }
-        dir.generation += 1;
-        // The victim slot was never mutated (split copies out of it), so a
-        // reader still probing it under a stale snapshot sees complete
-        // pre-split data; mark it retired before publishing so readers
-        // that arrive later reload instead.
-        slot.retired.store(true, Ordering::SeqCst);
-        table.publish(&dir, &self.epoch);
-        // relaxed: monotonic stats counter, written under the directory
-        // write lock.
-        self.splits.fetch_add(1, Ordering::Relaxed);
-        obs::counter!("cdytis_fine.split").inc();
-    }
-
-    /// First bucket of a segment walk and whether it needs a lower bound:
-    /// bucket indices are monotone in the key, so only the very first
-    /// bucket of the first segment can hold keys `< start`.
-    fn walk_start(&self, seg: &FineSegment, start_sk: u64, first_seg: bool) -> (usize, bool) {
-        if first_seg {
-            let m = self.m_total - seg.local_depth;
-            let k = start_sk & mask64(m);
-            (seg.bucket_of(k, self.m_total), true)
-        } else {
-            (0, false)
-        }
-    }
-
-    /// Walks `seg`'s buckets lock-free under the per-bucket seqlocks,
-    /// appending pairs `>= start` until `count`. `Some(done)` on success;
-    /// `None` when a bucket stayed contended past its retry budget (the
-    /// caller rolls back and restarts at the table level).
-    fn walk_segment_optimistic(
-        &self,
-        seg: &FineSegment,
-        start_sk: u64,
-        start: Key,
-        first_seg: bool,
-        count: usize,
-        out: &mut Vec<(Key, Value)>,
-    ) -> Option<bool> {
-        let (mut b, mut first_bucket) = self.walk_start(seg, start_sk, first_seg);
-        let nb = seg.buckets.len();
-        while b < nb {
-            if out.len() >= count {
-                return Some(true);
-            }
-            // Hint the next bucket's key array in while this one copies
-            // (same rationale as `Segment::walk_from`).
-            if b + 1 < nb {
-                crate::simd::prefetch_slice(&seg.buckets[b + 1].keys);
-            }
-            let bucket = &seg.buckets[b];
-            let start_key = first_bucket.then_some(start);
-            let mut ok = false;
-            // justified: bounded by BUCKET_RETRIES; the caller restarts
-            // or falls back to the locked walk.
-            for _ in 0..BUCKET_RETRIES {
-                if bucket
-                    .read_range_optimistic(start_key, count - out.len(), out)
-                    .is_ok()
-                {
-                    ok = true;
-                    break;
-                }
-            }
-            if !ok {
-                return None;
-            }
-            first_bucket = false;
-            b += 1;
-        }
-        Some(out.len() >= count)
-    }
-
-    /// Walks `seg`'s buckets under their writer locks (fallback +
-    /// baseline), appending pairs `>= start` until `count`; returns true
-    /// when the scan is complete.
-    fn walk_segment_locked(
-        &self,
-        seg: &FineSegment,
-        start_sk: u64,
-        start: Key,
-        first_seg: bool,
-        count: usize,
-        out: &mut Vec<(Key, Value)>,
-    ) -> bool {
-        let (mut b, mut first_bucket) = self.walk_start(seg, start_sk, first_seg);
-        let nb = seg.buckets.len();
-        while b < nb {
-            if out.len() >= count {
-                return true;
-            }
-            if b + 1 < nb {
-                crate::simd::prefetch_slice(&seg.buckets[b + 1].keys);
-            }
-            let start_key = first_bucket.then_some(start);
-            seg.buckets[b].read_range_locked(start_key, count - out.len(), out);
-            first_bucket = false;
-            b += 1;
-        }
-        out.len() >= count
-    }
-
-    /// One optimistic attempt at scanning `table`. `Some(done)` on
-    /// success; `None` when a probe failed validation (this table's
-    /// contribution has been rolled back).
-    #[allow(clippy::too_many_arguments)]
-    fn scan_table_optimistic(
-        &self,
-        table: &FineEh,
-        guard: &Guard<'_>,
-        start_sk: u64,
-        start: Key,
-        from_start: bool,
-        count: usize,
-        out: &mut Vec<(Key, Value)>,
-    ) -> Option<bool> {
-        let base_len = out.len();
-        // Acquire pairs with the Release increments so a table observed
-        // non-empty has its inserts visible to the probes below.
-        if table.num_keys.load(Ordering::Acquire) == 0 {
-            return Some(out.len() >= count);
-        }
-        let snap = table.snap.load(guard);
-        let mut idx = if from_start {
-            0
-        } else {
-            Self::snap_index(snap, start_sk, self.m_total)
-        };
-        let mut first_seg = !from_start;
-        while idx < snap.entries.len() {
-            let slot = &snap.entries[idx];
-            let v0 = slot.version.load(Ordering::SeqCst);
-            let probe = if v0 & 1 == 1 {
-                None
-            } else {
-                slot.seg.try_read()
-            };
-            let Some(seg) = probe else {
-                out.truncate(base_len);
-                return None;
-            };
-            if slot.retired.load(Ordering::SeqCst) {
-                out.truncate(base_len);
-                return None;
-            }
-            let span = 1usize << (snap.global_depth - seg.local_depth);
-            let Some(done) =
-                self.walk_segment_optimistic(&seg, start_sk, start, first_seg, count, out)
-            else {
-                out.truncate(base_len);
-                return None;
-            };
-            drop(seg);
-            if slot.version.load(Ordering::SeqCst) != v0 {
-                out.truncate(base_len);
-                return None;
-            }
-            if done {
-                return Some(true);
-            }
-            first_seg = false;
-            idx = (idx & !(span - 1)) + span;
-        }
-        Some(out.len() >= count)
-    }
-
-    /// Locked scan of one table (fallback + baseline); returns true when
-    /// `count` pairs have been collected.
-    fn scan_table_locked(
-        &self,
-        table: &FineEh,
-        start_sk: u64,
-        start: Key,
-        from_start: bool,
-        count: usize,
-        out: &mut Vec<(Key, Value)>,
-    ) -> bool {
-        // relaxed: monotonic advisory counter.
-        self.read_locked.fetch_add(1, Ordering::Relaxed);
-        let dir = table.dir.read();
-        // Acquire pairs with the Release increments so a table observed
-        // non-empty has its inserts visible to the scan below.
-        if table.num_keys.load(Ordering::Acquire) == 0 {
-            return out.len() >= count;
-        }
-        let mut idx = if from_start {
-            0
-        } else {
-            Self::dir_index(&dir, start_sk, self.m_total)
-        };
-        let mut first_seg = !from_start;
-        while idx < dir.entries.len() {
-            let seg = dir.entries[idx].seg.read();
-            let span = 1usize << (dir.global_depth - seg.local_depth);
-            if self.walk_segment_locked(&seg, start_sk, start, first_seg, count, out) {
-                return true;
-            }
-            first_seg = false;
-            idx = (idx & !(span - 1)) + span;
-        }
-        out.len() >= count
-    }
-
-    /// Scans one table, optimistic-first with a bounded restart budget and
-    /// a locked fallback.
-    fn scan_table(
-        &self,
-        table: &FineEh,
-        start_sk: u64,
-        start: Key,
-        from_start: bool,
-        count: usize,
-        out: &mut Vec<(Key, Value)>,
-    ) -> bool {
-        if self.optimistic_enabled() {
-            if let Some(guard) = self.epoch.pin() {
-                let mut restarts = 0u64;
-                // justified: bounded by SCAN_RESTARTS, with the locked
-                // fallback below when the budget is exhausted.
-                for _ in 0..SCAN_RESTARTS {
-                    match self.scan_table_optimistic(
-                        table, &guard, start_sk, start, from_start, count, out,
-                    ) {
-                        Some(done) => {
-                            if restarts > 0 {
-                                // relaxed: monotonic advisory counter.
-                                self.read_retries.fetch_add(restarts, Ordering::Relaxed);
-                                obs::counter!("read.retries").add(restarts);
-                            }
-                            return done;
-                        }
-                        None => restarts += 1,
-                    }
-                }
-                if restarts > 0 {
-                    // relaxed: monotonic advisory counter.
-                    self.read_retries.fetch_add(restarts, Ordering::Relaxed);
-                    obs::counter!("read.retries").add(restarts);
-                }
-            }
-            // relaxed: monotonic advisory counter.
-            self.read_fallbacks.fetch_add(1, Ordering::Relaxed);
-            obs::counter!("read.fallbacks").inc();
-        }
-        self.scan_table_locked(table, start_sk, start, from_start, count, out)
+        // Split (doubling first when LD == GD). The victim slot is never
+        // mutated — the split copies out of it — so it needs no guard.
+        let (left, right) = seg.split(core.m_total, p);
+        let halves = (
+            FineSegment::from_segment(left, p.bucket_entries),
+            FineSegment::from_segment(right, p.bucket_entries),
+        );
+        core.install_split(table, &mut dir, sk, ld, None, halves);
     }
 }
 
@@ -1087,43 +659,24 @@ impl Default for ConcurrentDyTisFine {
 
 impl ConcurrentKvIndex for ConcurrentDyTisFine {
     fn insert(&self, key: Key, value: Value) {
-        let table = &self.tables[self.table_of(key)];
-        let sk = self.sub_key(key);
-        let mut guard = 0u32;
-        while !self.insert_fast(table, sk, key, value) {
-            guard += 1;
-            assert!(guard < 10_000, "fine-grained insert failed to converge");
-            // relaxed: monotonic advisory counter (lock-acquisition retries).
-            self.insert_retries.fetch_add(1, Ordering::Relaxed);
-            obs::counter!("cdytis_fine.insert_retries").inc();
-            self.maintain(table, sk);
-        }
+        self.core.insert(
+            key,
+            |table, sk| self.insert_fast(table, sk, key, value),
+            |table, sk| self.maintain(table, sk),
+        );
     }
 
     fn get(&self, key: Key) -> Option<Value> {
-        let table = &self.tables[self.table_of(key)];
-        let sk = self.sub_key(key);
-        if self.optimistic_enabled() {
-            if let Some(v) = self.get_optimistic(table, sk, key) {
-                return v;
-            }
-            // relaxed: monotonic advisory counter.
-            self.read_fallbacks.fetch_add(1, Ordering::Relaxed);
-            obs::counter!("read.fallbacks").inc();
-        }
-        self.get_locked(table, sk, key)
+        self.core.get(key)
     }
 
     fn remove(&self, key: Key) -> Option<Value> {
-        let table = &self.tables[self.table_of(key)];
-        let sk = self.sub_key(key);
+        let core = &self.core;
+        let table = &core.tables[core.table_of(key)];
+        let sk = core.sub_key(key);
         let dir = table.dir.read();
-        let seg = dir.entries[Self::dir_index(&dir, sk, self.m_total)]
-            .seg
-            .read();
-        let m = self.m_total - seg.local_depth;
-        let k = sk & mask64(m);
-        let b = seg.bucket_of(k, self.m_total);
+        let seg = dir.entries[core.dir_index(&dir, sk)].seg.read();
+        let b = seg.bucket_of(seg.local_key(sk, core.m_total), core.m_total);
         let v = seg.buckets[b].write().remove(key)?;
         // Release pairs with the Acquire loads in `len()`, `to_segment`,
         // and the audit.
@@ -1133,25 +686,11 @@ impl ConcurrentKvIndex for ConcurrentDyTisFine {
     }
 
     fn scan(&self, start: Key, count: usize, out: &mut Vec<(Key, Value)>) {
-        let first = self.table_of(start);
-        let start_sk = self.sub_key(start);
-        if self.scan_table(&self.tables[first], start_sk, start, false, count, out) {
-            return;
-        }
-        for table in &self.tables[first + 1..] {
-            if self.scan_table(table, 0, 0, true, count, out) {
-                return;
-            }
-        }
+        self.core.scan(start, count, out);
     }
 
     fn len(&self) -> usize {
-        self.tables
-            .iter()
-            // Acquire pairs with the Release key-count updates so `len()`
-            // reflects every completed insert/remove.
-            .map(|t| t.num_keys.load(Ordering::Acquire))
-            .sum()
+        self.core.len()
     }
 
     fn name(&self) -> &'static str {
@@ -1162,370 +701,10 @@ impl ConcurrentKvIndex for ConcurrentDyTisFine {
 impl Auditable for ConcurrentDyTisFine {
     /// Deep audit under the documented lock order: per table, directory
     /// read lock, then each segment's read lock, then each bucket lock (via
-    /// the plain-segment conversion). Must not be called by a thread
-    /// already holding one of this index's locks.
-    ///
-    /// Also audits the optimistic-read machinery: even slot versions under
-    /// the segment read lock, no retired-but-reachable slots, snapshot
-    /// coherence, and epoch quiescence (see the coarse variant).
+    /// the plain-segment conversion); see the shared core for the
+    /// optimistic-read checks. Must not be called by a thread already
+    /// holding one of this index's locks.
     fn audit(&self) -> AuditReport {
-        let mut report = AuditReport::new("DyTIS (bucket-locked)");
-        for (t, table) in self.tables.iter().enumerate() {
-            let dir = table.dir.read();
-            let gd = dir.global_depth;
-            report.check(dir.entries.len() == 1usize << gd, "dir-size", || {
-                (
-                    format!("table {t}"),
-                    format!("directory has {} entries at GD {gd}", dir.entries.len()),
-                )
-            });
-            let mut total = 0usize;
-            let mut last_key: Option<Key> = None;
-            let mut idx = 0usize;
-            while idx < dir.entries.len() {
-                let slot = &dir.entries[idx];
-                let fine = slot.seg.read();
-                // Structural writers hold the segment write lock across
-                // their odd-version window, which our read lock excludes.
-                let v = slot.version.load(Ordering::SeqCst);
-                report.check(v & 1 == 0, "seg-version-even", || {
-                    (
-                        format!("table {t} / dir[{idx}]"),
-                        format!("version {v} is odd with no writer able to hold the lock"),
-                    )
-                });
-                report.check(!slot.retired.load(Ordering::SeqCst), "seg-live", || {
-                    (
-                        format!("table {t} / dir[{idx}]"),
-                        "directory-reachable segment is marked retired".into(),
-                    )
-                });
-                let ld = fine.local_depth;
-                if !report.check(ld <= gd, "local-depth", || {
-                    (
-                        format!("table {t} / dir[{idx}]"),
-                        format!("local_depth {ld} exceeds global_depth {gd}"),
-                    )
-                }) {
-                    idx += 1;
-                    continue;
-                }
-                let span = 1usize << (gd - ld);
-                report.check(idx.is_multiple_of(span), "dir-alignment", || {
-                    (
-                        format!("table {t} / dir[{idx}]"),
-                        format!("segment (span {span}) starts unaligned"),
-                    )
-                });
-                let end = (idx + span).min(dir.entries.len());
-                report.check(
-                    dir.entries[idx..end]
-                        .iter()
-                        .all(|e| Arc::ptr_eq(e, &dir.entries[idx])),
-                    "dir-coverage",
-                    || {
-                        (
-                            format!("table {t} / dir[{idx}..{end}]"),
-                            "span mixes directory targets".into(),
-                        )
-                    },
-                );
-                let loc = format!("table {t} / dir[{idx}]");
-                let seg = fine.to_segment();
-                crate::audit::audit_segment(&seg, self.m_total, &self.params, &loc, &mut report);
-                if let Some((first, last)) = crate::audit::segment_key_bounds(&seg) {
-                    let prefix = (idx / span) as u64;
-                    let shift = self.m_total - ld;
-                    for key in [first, last] {
-                        let sk = key & mask64(self.m_total);
-                        report.check(ld == 0 || sk >> shift == prefix, "key-range", || {
-                            (
-                                loc.clone(),
-                                format!("key {key:#x} outside directory prefix {prefix:#x}"),
-                            )
-                        });
-                    }
-                    report.check(
-                        last_key.is_none_or(|p| p < first),
-                        "table-key-order",
-                        || {
-                            (
-                                loc.clone(),
-                                format!(
-                                    "first key {first:#x} not above previous segment's {last_key:?}"
-                                ),
-                            )
-                        },
-                    );
-                    last_key = Some(last);
-                }
-                total += seg.num_keys;
-                idx += span;
-            }
-            report.check(
-                total == table.num_keys.load(Ordering::Acquire),
-                "table-key-count",
-                || {
-                    (
-                        format!("table {t}"),
-                        format!(
-                            "segments hold {total} keys, table claims {}",
-                            table.num_keys.load(Ordering::Acquire)
-                        ),
-                    )
-                },
-            );
-            // Snapshot coherence: publishes happen under the directory
-            // write lock, which our read lock excludes.
-            if let Some(guard) = self.epoch.pin() {
-                let snap = table.snap.load(&guard);
-                let coherent = snap.generation == dir.generation
-                    && snap.global_depth == dir.global_depth
-                    && snap.entries.len() == dir.entries.len()
-                    && snap
-                        .entries
-                        .iter()
-                        .zip(&dir.entries)
-                        .all(|(a, b)| Arc::ptr_eq(a, b));
-                report.check(coherent, "dir-snapshot-coherent", || {
-                    (
-                        format!("table {t}"),
-                        format!(
-                            "snapshot gen {} / GD {} / {} entries vs directory gen {} / GD {} / {} entries",
-                            snap.generation,
-                            snap.global_depth,
-                            snap.entries.len(),
-                            dir.generation,
-                            dir.global_depth,
-                            dir.entries.len()
-                        ),
-                    )
-                });
-            }
-        }
-        // Epoch quiescence, self-skipping under concurrent reader pins —
-        // see the coarse variant for the race analysis.
-        // justified: bounded to 4 rounds, then the check is skipped.
-        for _ in 0..4 {
-            if !self.epoch.quiescent() {
-                break;
-            }
-            self.epoch.collect();
-            let pending = self.epoch.stats().pending;
-            if !self.epoch.quiescent() {
-                // A reader pinned mid-collect: the pending count is not
-                // evidence of a leak. Retry the round.
-                continue;
-            }
-            report.check(pending == 0, "epoch-quiescent", || {
-                (
-                    "epoch collector".into(),
-                    format!("{pending} garbage item(s) survive a quiescent collect"),
-                )
-            });
-            break;
-        }
-        report
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn small() -> ConcurrentDyTisFine {
-        ConcurrentDyTisFine::with_params(Params::small())
-    }
-
-    #[test]
-    fn single_thread_roundtrip() {
-        let idx = small();
-        for k in 0..6_000u64 {
-            idx.insert(k * 3, k);
-        }
-        assert_eq!(idx.len(), 6_000);
-        for k in (0..6_000u64).step_by(71) {
-            assert_eq!(idx.get(k * 3), Some(k));
-        }
-        let mut out = Vec::new();
-        idx.scan(0, 500, &mut out);
-        assert_eq!(out.len(), 500);
-        assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
-    }
-
-    #[test]
-    fn locked_read_mode_matches_optimistic() {
-        let idx = small();
-        for k in 0..6_000u64 {
-            idx.insert(k.wrapping_mul(0x9E3779B97F4A7C15), k);
-        }
-        idx.set_locked_reads(true);
-        for k in (0..6_000u64).step_by(31) {
-            assert_eq!(idx.get(k.wrapping_mul(0x9E3779B97F4A7C15)), Some(k));
-        }
-        let mut locked = Vec::new();
-        idx.scan(0, 500, &mut locked);
-        idx.set_locked_reads(false);
-        for k in (0..6_000u64).step_by(31) {
-            assert_eq!(idx.get(k.wrapping_mul(0x9E3779B97F4A7C15)), Some(k));
-        }
-        let mut optimistic = Vec::new();
-        idx.scan(0, 500, &mut optimistic);
-        assert_eq!(locked, optimistic);
-    }
-
-    #[test]
-    fn maintenance_retires_snapshots_through_the_collector() {
-        let idx = small();
-        for k in 0..6_000u64 {
-            idx.insert(k * 3, k);
-        }
-        let st = idx.epoch_stats();
-        assert!(st.deferred > 0, "splits must retire old snapshots");
-        assert_eq!(st.freed, st.deferred);
-        assert_eq!(st.pending, 0);
-    }
-
-    #[test]
-    fn concurrent_inserts_roundtrip() {
-        let idx = std::sync::Arc::new(small());
-        let handles: Vec<_> = (0..4u64)
-            .map(|t| {
-                let idx = std::sync::Arc::clone(&idx);
-                std::thread::spawn(move || {
-                    for i in 0..8_000u64 {
-                        let k = (t * 8_000 + i).wrapping_mul(0x9E3779B97F4A7C15);
-                        idx.insert(k, i);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("writer");
-        }
-        assert_eq!(idx.len(), 32_000);
-        for t in 0..4u64 {
-            for i in (0..8_000u64).step_by(333) {
-                let k = (t * 8_000 + i).wrapping_mul(0x9E3779B97F4A7C15);
-                assert_eq!(idx.get(k), Some(i));
-            }
-        }
-    }
-
-    #[test]
-    fn removes_work() {
-        let idx = small();
-        for k in 0..5_000u64 {
-            idx.insert(k, k);
-        }
-        for k in 0..2_500u64 {
-            assert_eq!(idx.remove(k), Some(k));
-        }
-        assert_eq!(idx.len(), 2_500);
-        assert_eq!(idx.get(0), None);
-        assert_eq!(idx.get(3_000), Some(3_000));
-    }
-
-    #[test]
-    fn audit_clean_after_growth() {
-        let idx = small();
-        for k in 0..10_000u64 {
-            idx.insert(k.wrapping_mul(0x9E3779B97F4A7C15), k);
-        }
-        let report = idx.audit();
-        assert!(report.checks > 10_000);
-        report.assert_clean();
-    }
-
-    #[test]
-    fn audit_detects_corrupted_segment_key_count() {
-        let idx = small();
-        for k in 0..2_000u64 {
-            idx.insert(k, k);
-        }
-        idx.audit().assert_clean();
-        {
-            let dir = idx.tables[0].dir.read();
-            let seg = dir.entries[0].seg.read();
-            seg.num_keys.fetch_add(1, Ordering::Release);
-        }
-        let report = idx.audit();
-        assert!(!report.is_clean());
-        assert!(report
-            .violations
-            .iter()
-            .any(|v| v.invariant == "segment-key-count" || v.invariant == "table-key-count"));
-    }
-
-    #[test]
-    fn audit_detects_torn_slot_version() {
-        let idx = small();
-        for k in 0..2_000u64 {
-            idx.insert(k, k);
-        }
-        idx.audit().assert_clean();
-        // SEEDED CORRUPTION: an odd version with no structural writer.
-        {
-            let dir = idx.tables[0].dir.read();
-            dir.entries[0].version.fetch_add(1, Ordering::SeqCst);
-        }
-        let report = idx.audit();
-        assert!(report
-            .violations
-            .iter()
-            .any(|v| v.invariant == "seg-version-even"));
-    }
-
-    #[test]
-    fn audit_detects_stale_snapshot() {
-        let idx = small();
-        for k in 0..2_000u64 {
-            idx.insert(k, k);
-        }
-        idx.audit().assert_clean();
-        // SEEDED CORRUPTION: a snapshot that does not mirror the directory.
-        {
-            let dir = idx.tables[0].dir.read();
-            idx.tables[0].snap.swap(
-                Box::new(FineSnapshot {
-                    generation: dir.generation + 999,
-                    global_depth: dir.global_depth,
-                    entries: dir.entries.clone(),
-                }),
-                &idx.epoch,
-            );
-        }
-        let report = idx.audit();
-        assert!(report
-            .violations
-            .iter()
-            .any(|v| v.invariant == "dir-snapshot-coherent"));
-    }
-
-    #[test]
-    fn readers_race_writers() {
-        let idx = std::sync::Arc::new(small());
-        for k in 0..5_000u64 {
-            idx.insert(k * 2, k);
-        }
-        let writer = {
-            let idx = std::sync::Arc::clone(&idx);
-            std::thread::spawn(move || {
-                for k in 5_000..20_000u64 {
-                    idx.insert(k * 2, k);
-                }
-            })
-        };
-        let mut hits = 0usize;
-        for _ in 0..3 {
-            for k in 0..5_000u64 {
-                if idx.get(k * 2) == Some(k) {
-                    hits += 1;
-                }
-            }
-        }
-        writer.join().expect("writer");
-        assert_eq!(hits, 15_000);
-        assert_eq!(idx.len(), 20_000);
+        self.core.audit("DyTIS (bucket-locked)")
     }
 }

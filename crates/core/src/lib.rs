@@ -37,6 +37,7 @@
 pub mod audit;
 pub mod bucket;
 pub mod concurrent;
+mod concurrent_core;
 pub mod concurrent_fine;
 pub mod cursor;
 pub mod eh;

@@ -4,7 +4,7 @@
 //! batched into frames, so a thousand SETs are one write + one read
 //! instead of a thousand round trips. [`RoutedClient`] holds one
 //! `BinClient` per server worker and partitions every batch by
-//! [`shard_of`](crate::tpc::shard_of), so on a thread-per-core server each
+//! [`shard_of`](crate::shard_of), so on a thread-per-core server each
 //! op lands directly on the worker that owns its key and never pays the
 //! cross-shard forwarding hop.
 //!
@@ -312,7 +312,7 @@ impl BinClient {
 /// connection per worker, every op sent directly to the worker whose
 /// shard owns the key.
 ///
-/// Batches are partitioned by [`shard_of`](crate::tpc::shard_of), written
+/// Batches are partitioned by [`shard_of`](crate::shard_of), written
 /// to all workers first, then collected — so a mixed batch pipelines
 /// across every core in parallel. Results are re-assembled into the
 /// caller's key order.
@@ -355,7 +355,7 @@ impl RoutedClient {
     }
 
     fn shard(&self, key: u64) -> usize {
-        crate::tpc::shard_of(key, self.conns.len())
+        crate::shard_of(key, self.conns.len())
     }
 
     /// Inserts or updates one pair on the owning worker.

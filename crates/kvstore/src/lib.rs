@@ -54,9 +54,9 @@ pub use binclient::{BinClient, RoutedClient};
 pub use protocol::{
     format_request, format_response, parse_request, parse_response, Request, Response,
 };
-pub use shard::{DurabilityOptions, DurableShardedStore, ShardedStore};
+pub use shard::{shard_of, DurabilityOptions, DurableShardedStore};
 #[cfg(unix)]
-pub use tpc::{shard_of, TpcOptions, TpcServer};
+pub use tpc::{TpcOptions, TpcServer};
 
 use crate::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use crate::sync::{Arc, Mutex};

@@ -30,13 +30,14 @@
 //!
 //! Cross-shard reads (`LEN`, a `SCAN` spanning range boundaries) are
 //! gathered without stopping writers and are therefore not atomic across
-//! shards — the same contract [`crate::ShardedStore`] documents.
+//! shards — the same contract [`crate::DurableShardedStore`] documents.
 
 #![cfg(unix)]
 
 use crate::frame::{self, Decoded};
 use crate::protocol::{self, format_response, parse_request, Request, Response};
 use crate::reactor::{poll_events, PollFd, WakePipe, POLL_IN, POLL_OUT};
+use crate::shard_of;
 use crate::{DrainReport, ServerOptions};
 use dytis::DyTis;
 use index_traits::{Key, KvIndex, Value};
@@ -60,15 +61,6 @@ pub struct TpcOptions {
     /// connection budget and `live_connections` gauge are global across
     /// workers, timeouts and the line cap apply per connection.
     pub server: ServerOptions,
-}
-
-/// The worker whose shard owns `key`, for `workers` workers: contiguous,
-/// monotone key ranges (`shard_of(a) <= shard_of(b)` for `a <= b`), so
-/// cross-shard scans visit workers in index order. Shared with the
-/// routing client so both sides compute the same partition.
-#[inline]
-pub fn shard_of(key: Key, workers: usize) -> usize {
-    ((u128::from(key) * workers as u128) >> 64) as usize
 }
 
 /// How many bytes one wakeup reads from one connection before moving on.
@@ -1506,24 +1498,6 @@ fn serialize_len(binary: bool, total: u64) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shard_of_is_monotone_and_total() {
-        for workers in [1usize, 2, 3, 4, 7, 16] {
-            assert_eq!(shard_of(0, workers), 0);
-            assert_eq!(shard_of(u64::MAX, workers), workers - 1);
-            let mut prev = 0;
-            for i in 0..1000u64 {
-                let k = i.wrapping_mul(0x0018_4A73_9F2E_11D3);
-                let _ = k;
-                let key = i * (u64::MAX / 1000);
-                let s = shard_of(key, workers);
-                assert!(s >= prev, "shard_of must be monotone");
-                assert!(s < workers);
-                prev = s;
-            }
-        }
-    }
 
     /// An explicit port must actually be listened on (worker 0), with
     /// workers 1..N on the next sequential ports. Regression: every

@@ -29,11 +29,23 @@ fn key(i: u64) -> u64 {
     i.wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
+/// Full contents must match, and so must scans that start mid-space: on a
+/// shard boundary, inside a shard (crossing into the next ones), and near
+/// the end of the key space.
 fn assert_matches_oracle(store: &DurableShardedStore, oracle: &BTreeMap<u64, u64>) {
     assert_eq!(store.len(), oracle.len());
     let got = store.scan(0, oracle.len() + 16);
     let want: Vec<(u64, u64)> = oracle.iter().map(|(&k, &v)| (k, v)).collect();
     assert_eq!(got, want);
+    let count = oracle.len() / 2 + 1;
+    for start in [1u64 << 62, (1 << 62) + (1 << 61), u64::MAX - (1 << 60)] {
+        let want: Vec<(u64, u64)> = oracle
+            .range(start..)
+            .take(count)
+            .map(|(&k, &v)| (k, v))
+            .collect();
+        assert_eq!(store.scan(start, count), want, "scan from {start:#x}");
+    }
 }
 
 #[test]

@@ -308,3 +308,73 @@ fn drift_fires_more_serve_phase_maintenance_than_stationary_control() {
         "drift serve phase fired {drift} remap-activity ops, stationary control {control}"
     );
 }
+
+/// Pins the structural decisions of both concurrent variants. One fixed
+/// MM→TX drift stream (scale 10,000, the same in debug and release) is
+/// replayed single-threaded at `Params::small()` and the exact
+/// `maintenance_stats()` totals are asserted. The expected values were
+/// captured from the two variants as they stood before their shared
+/// optimistic-read core was extracted, so any change to when a split,
+/// expansion, remap, doubling or shrink fires shows up here.
+#[test]
+fn drift_pins_concurrent_maintenance_decisions() {
+    use dytis_repro::dytis::{ConcurrentDyTis, ConcurrentDyTisFine};
+    use dytis_repro::index_traits::{ConcurrentKvIndex, MaintenanceStats};
+
+    fn replay_concurrent<I: ConcurrentKvIndex + Auditable>(idx: &I, compiled: &CompiledScenario) {
+        let mut live = std::collections::BTreeSet::new();
+        let mut got = Vec::with_capacity(SCAN_COUNT);
+        for &op in &compiled.ops {
+            match op {
+                ScenarioOp::Insert(k, v) | ScenarioOp::Update(k, v) => {
+                    idx.insert(k, v);
+                    live.insert(k);
+                }
+                ScenarioOp::Read(k) => {
+                    idx.get(k);
+                }
+                ScenarioOp::Scan(start) => {
+                    got.clear();
+                    idx.scan(start, SCAN_COUNT, &mut got);
+                }
+                ScenarioOp::Delete(k) => {
+                    idx.remove(k);
+                    live.remove(&k);
+                }
+            }
+        }
+        // The stream has no deletes; drain three keys in four so the
+        // delete-merge (shrink) decision is pinned too.
+        for (i, &k) in live.iter().enumerate() {
+            if i % 4 != 0 {
+                idx.remove(k);
+            }
+        }
+        idx.audit().assert_clean();
+    }
+
+    let compiled = compile(&builtin::mm_to_tx_drift(10_000));
+    let coarse = ConcurrentDyTis::with_params(Params::small());
+    replay_concurrent(&coarse, &compiled);
+    let fine = ConcurrentDyTisFine::with_params(Params::small());
+    replay_concurrent(&fine, &compiled);
+    let pinned = MaintenanceStats {
+        splits: 38,
+        expansions: 11,
+        remaps: 1_249,
+        doublings: 11,
+        shrinks: 23,
+        keys_moved: 0,
+    };
+    assert_eq!(coarse.maintenance_stats(), pinned, "coarse variant");
+    // The bucket-locked variant never merges on delete (see its
+    // `maintenance_stats`), so only its shrink count differs.
+    assert_eq!(
+        fine.maintenance_stats(),
+        MaintenanceStats {
+            shrinks: 0,
+            ..pinned
+        },
+        "bucket-locked variant"
+    );
+}
