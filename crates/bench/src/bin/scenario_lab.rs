@@ -11,9 +11,10 @@
 //! - `--net` — additionally replays the drift scenario through the real
 //!   TCP server via the blocking client, reading the concurrent engine's
 //!   counters server-side.
-//! - `--chaos` — additionally runs the chaos leg: a `DurableShardedStore`
-//!   is killed mid-drift every few thousand acked mutations, recovered,
-//!   and checked against the acked-op oracle plus a deep audit.
+//! - `--chaos` — additionally runs the chaos leg (unix only): a durable
+//!   `TpcServer`, driven over loopback, is killed mid-drift every few
+//!   thousand acked mutations, recovered, and checked against the
+//!   acked-op oracle plus a deep audit.
 //! - `--assert-drift` — pins the acceptance bar: the MM→TX drift scenario
 //!   must fire strictly more remap activity than its shape-identical
 //!   stationary control.
@@ -27,8 +28,10 @@
 
 use dytis::{ConcurrentDyTis, DyTis, Params};
 use index_traits::{Key, MaintenanceStats, Value};
-use kvstore::{Client, DurabilityOptions, Server, ServerOptions};
-use scenario::{builtin, chaos, compile, run, DytisTarget, RunOptions, ScenarioTarget, Timeline};
+use kvstore::{Client, Server, ServerOptions};
+#[cfg(unix)]
+use scenario::chaos;
+use scenario::{builtin, compile, run, DytisTarget, RunOptions, ScenarioTarget, Timeline};
 use std::sync::Arc;
 
 /// Network adapter: ops go over the wire through the blocking client;
@@ -95,20 +98,25 @@ fn run_net(sc: &scenario::Scenario, opts: &RunOptions) -> Timeline {
     tl
 }
 
+#[cfg(unix)]
 fn run_chaos_leg(scale: usize) -> String {
+    use kvstore::{DurabilityOptions, TpcOptions};
     let dir = std::env::temp_dir().join(format!("scenario-lab-chaos-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let compiled = compile(&builtin::mm_to_tx_drift(scale));
     let report = chaos::run_chaos(
-        &dir,
         &compiled,
         &chaos::ChaosOptions {
             kill_every: (scale / 2).max(1),
-            durability: DurabilityOptions {
-                shard_bits: 2,
-                ops_per_checkpoint: 0,
-                max_batch_records: 256,
+            server: TpcOptions {
+                workers: 4,
                 params: Params::small(),
+                durability: Some(DurabilityOptions {
+                    dir: dir.clone(),
+                    ops_per_checkpoint: 0,
+                    max_batch_records: 256,
+                }),
+                ..TpcOptions::default()
             },
             checkpoint_alternate: true,
         },
@@ -201,11 +209,13 @@ fn main() {
     if net {
         timelines.push(run_net(&builtin::mm_to_tx_drift(scale / 10), &opts));
     }
-    let chaos_json = if chaos_leg {
-        Some(run_chaos_leg(scale / 10))
-    } else {
-        None
-    };
+    #[cfg(unix)]
+    let chaos_json = chaos_leg.then(|| run_chaos_leg(scale / 10));
+    #[cfg(not(unix))]
+    let chaos_json: Option<String> = chaos_leg.then(|| {
+        eprintln!("--chaos needs the unix-only thread-per-core server");
+        std::process::exit(2)
+    });
 
     let mut json = String::with_capacity(1 << 16);
     json.push_str("{\"scenarios\":[");

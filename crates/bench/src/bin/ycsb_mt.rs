@@ -366,6 +366,7 @@ fn net_cell(
             loader.quit().expect("loader quit");
 
             let parts = shards(&ops, threads);
+            let before = server.maintenance_stats();
             let wall = Instant::now();
             let handles: Vec<_> = parts
                 .into_iter()
@@ -397,13 +398,10 @@ fn net_cell(
                 slowest = slowest.max(elapsed);
             }
             let wall_ns = wall.elapsed().as_nanos() as u64;
+            let maintenance = server.maintenance_stats().delta_since(&before);
             let report = server.shutdown();
             assert!(report.drained, "tpc net cell server failed to drain");
-            (
-                summarize(&mut pooled, wall_ns.max(slowest)),
-                MaintenanceStats::default(),
-                0,
-            )
+            (summarize(&mut pooled, wall_ns.max(slowest)), maintenance, 0)
         }
         #[cfg(not(unix))]
         ServerKind::Tpc => unreachable!("--server tpc is rejected at argument parsing on non-unix"),

@@ -54,7 +54,7 @@ pub use binclient::{BinClient, RoutedClient};
 pub use protocol::{
     format_request, format_response, parse_request, parse_response, Request, Response,
 };
-pub use shard::{shard_of, DurabilityOptions, DurableShardedStore};
+pub use shard::{shard_of, DurabilityOptions};
 #[cfg(unix)]
 pub use tpc::{TpcOptions, TpcServer};
 

@@ -1,486 +1,351 @@
-//! Sharded single-threaded engines (§3.4).
+//! The shard engine (§3.4).
 //!
 //! "Storage systems developed for distributed clusters and/or multi-core
 //! servers may leverage multiple single-threaded engines for data access as
 //! in H-Store and Redis Cluster. Such systems may also use the
 //! single-threaded version of DyTIS that does not use locks."
 //!
-//! [`DurableShardedStore`] is that deployment with durability: N worker
-//! threads, each owning a *lock-free-by-construction* single-threaded
-//! [`DyTis`], with keys partitioned by [`shard_of`] so the shards cover
-//! ordered, disjoint key ranges — which keeps cross-shard scans a simple
-//! in-order visit. Each engine layers the checkpoint + write-ahead-log
-//! protocol of the `durability` crate on top: it appends every mutation to
-//! its shard's WAL before applying it, clients block on the group-commit
-//! ack, and startup recovers each shard from its latest checkpoint plus log
-//! replay.
+//! A [`Shard`] is one such engine: a *lock-free-by-construction*
+//! single-threaded [`DyTis`] owned by one thread-per-core worker
+//! (`crate::tpc`), with keys partitioned by [`shard_of`] so the shards
+//! cover ordered, disjoint key ranges — which keeps cross-shard scans a
+//! simple in-order visit. A durable shard layers the checkpoint +
+//! write-ahead-log protocol of the `durability` crate on top:
+//! [`Shard::apply`] appends every mutation to the shard's WAL before
+//! applying it, [`Shard::commit`] makes everything appended since the last
+//! commit durable with one group-commit sync (the worker calls it once per
+//! wakeup, before anything that reflects those records leaves the worker),
+//! and [`Shard::open`] recovers a shard from its latest checkpoint plus
+//! log replay.
 
-use crate::sync::Arc;
-use durability::{FileStorage, Seq, Wal, WalOp, WalStats};
+// The engine is served only by the unix-only `tpc` module.
+#![cfg_attr(not(unix), allow(dead_code))]
+
+use durability::{FileStorage, Seq, Wal, WalOp};
 use dytis::{DyTis, Params};
-use index_traits::{AuditReport, Auditable, Key, KvIndex, MaintenanceStats, Value};
+use index_traits::{Key, KvIndex, Value};
+use std::collections::BTreeSet;
 use std::io;
-use std::path::{Path, PathBuf};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::thread::JoinHandle;
+use std::path::PathBuf;
+use std::sync::Arc;
 
 /// The shard that owns `key` among `shards` ordered shards: contiguous,
 /// monotone key ranges (`shard_of(a) <= shard_of(b)` for `a <= b`), so a
 /// cross-shard scan visits shards in index order. The one partition
-/// function of this crate: [`DurableShardedStore`], the thread-per-core
-/// server and the routing client all place keys with it. For a power of
+/// function of this crate: the thread-per-core server, its on-disk shard
+/// files and the routing client all place keys with it. For a power of
 /// two `2^b` it is exactly the top `b` key bits.
 #[inline]
 pub fn shard_of(key: Key, shards: usize) -> usize {
     ((u128::from(key) * shards as u128) >> 64) as usize
 }
 
-/// Tuning for [`DurableShardedStore`].
-#[derive(Debug, Clone, Copy)]
+/// Durability for a `TpcServer`'s shards. Worker `i` keeps
+/// `shard-<i>.ckpt` (the `DYTIS2` format of `dytis::persist`) and
+/// `shard-<i>.wal` (the `DYWAL1` framing of `durability::record`) in
+/// [`DurabilityOptions::dir`].
+#[derive(Debug, Clone)]
 pub struct DurabilityOptions {
-    /// `2^shard_bits` engine threads, each with its own WAL + checkpoint.
-    pub shard_bits: u32,
-    /// Mutations an engine applies between automatic checkpoints (and the
+    /// Directory of every shard's checkpoint and log. It must be reopened
+    /// with the worker count that wrote it; any other count is refused
+    /// with `InvalidInput`.
+    pub dir: PathBuf,
+    /// Mutations a shard applies between automatic checkpoints (and the
     /// log rotations that bound replay time). `0` disables automatic
-    /// checkpointing; [`DurableShardedStore::checkpoint_now`] still works.
+    /// checkpointing; `TpcServer::checkpoint_now` still works.
     pub ops_per_checkpoint: u64,
     /// Per-fsync batch cap for each shard's WAL committer.
     pub max_batch_records: usize,
-    /// Geometry of each shard's private DyTIS engine. Checkpoints carry
-    /// raw pairs, so reopening a store with different params is safe.
-    pub params: Params,
 }
 
-impl Default for DurabilityOptions {
-    fn default() -> Self {
-        DurabilityOptions {
-            shard_bits: 2,
-            ops_per_checkpoint: 100_000,
-            max_batch_records: 1024,
-            params: Params::default(),
+/// One op on a shard, parsed by its worker or forwarded by a peer.
+pub(crate) enum Op {
+    Set(Key, Value),
+    Get(Key),
+    Del(Key),
+    Scan(Key, usize),
+    Len,
+}
+
+/// What [`Shard::apply`] returns for an [`Op`].
+pub(crate) enum Reply {
+    /// `Get`: the value found; `Del`: the value removed; `Set`: `None`.
+    Value(Option<Value>),
+    Scan(Vec<(Key, Value)>),
+    Len(usize),
+}
+
+impl Reply {
+    /// The value a `Get` found or a `Del` removed.
+    #[inline]
+    pub(crate) fn value(self) -> Option<Value> {
+        match self {
+            Reply::Value(v) => v,
+            Reply::Scan(_) | Reply::Len(_) => None,
         }
     }
 }
 
-enum DurableCmd {
-    /// Append to the WAL, apply, reply with the sequence to sync on.
-    Set(Key, Value, SyncSender<io::Result<Seq>>),
-    Get(Key, SyncSender<Option<Value>>),
-    /// Reply: previous value (if any) and, when a delete was logged, the
-    /// sequence to sync on.
-    Del(Key, SyncSender<(Option<Value>, Option<io::Result<Seq>>)>),
-    Scan(Key, usize, SyncSender<Vec<(Key, Value)>>),
-    Len(SyncSender<usize>),
-    Checkpoint(SyncSender<io::Result<()>>),
-    /// Snapshot of the shard engine's maintenance counters.
-    Stats(SyncSender<MaintenanceStats>),
-    /// Deep structural audit of the shard's private index.
-    Audit(SyncSender<AuditReport>),
-    Stop,
+/// One worker's engine: a single-threaded index plus, when durable, its
+/// WAL and checkpoint state.
+pub(crate) struct Shard {
+    index: DyTis,
+    log: Option<Log>,
 }
 
-/// A store partitioned over single-threaded DyTIS engines, with per-shard
-/// durability: every mutation is appended
-/// to the owning shard's write-ahead log and acknowledged only after the
-/// group-commit fsync; checkpoints rotate the log so replay stays bounded.
+/// A durable shard's WAL and checkpoint state.
+struct Log {
+    wal: Arc<Wal<FileStorage>>,
+    dir: PathBuf,
+    id: usize,
+    ops_per_checkpoint: u64,
+    since_checkpoint: u64,
+    /// Highest sequence appended since the last commit.
+    unsynced: Option<Seq>,
+    /// The first append that failed since the last commit.
+    failed: Option<io::Error>,
+}
+
+/// Creates the durable directory if missing and refuses one written with
+/// a different shard count. A fresh directory gets every shard's empty
+/// log up front, so a start that fails partway (say one worker cannot
+/// open its shard) still leaves exactly shards `0..workers` — or, if the
+/// creation itself fails, none.
 ///
-/// Files live under the store's directory as `shard-<i>.ckpt` (the `DYTIS2`
-/// format of `dytis::persist`) and `shard-<i>.wal` (the `DYWAL1` framing of
-/// `durability::record`). [`DurableShardedStore::open`] recovers each shard
-/// by loading its checkpoint and replaying the log's valid prefix; replay
-/// is idempotent (records are absolute puts/deletes), so a log that
-/// predates the newest checkpoint is harmless.
-pub struct DurableShardedStore {
-    senders: Vec<SyncSender<DurableCmd>>,
-    handles: Vec<JoinHandle<()>>,
-    wals: Vec<Arc<Wal<FileStorage>>>,
+/// # Errors
+///
+/// `InvalidInput` when the directory holds shard files for some
+/// `i >= workers`, or holds shard files but none for some `i < workers`:
+/// keys would otherwise be routed to shards that never saw them. Also
+/// propagates I/O errors.
+pub(crate) fn prepare_dir(opts: &DurabilityOptions, workers: usize) -> io::Result<()> {
+    std::fs::create_dir_all(&opts.dir)?;
+    let mut found = BTreeSet::new();
+    for entry in std::fs::read_dir(&opts.dir)? {
+        found.extend(entry?.file_name().to_str().and_then(shard_file_index));
+    }
+    if found.is_empty() {
+        let log = |i: usize| opts.dir.join(format!("shard-{i}.wal"));
+        if let Err(e) = (0..workers).try_for_each(|i| std::fs::File::create_new(log(i)).map(drop)) {
+            // The directory held no shard file, so every one is ours.
+            for i in 0..workers {
+                let _ = std::fs::remove_file(log(i));
+            }
+            return Err(e);
+        }
+        #[cfg(unix)]
+        std::fs::File::open(&opts.dir)?.sync_all()?;
+        return Ok(());
+    }
+    if found.iter().copied().eq(0..workers) {
+        return Ok(());
+    }
+    Err(io::Error::new(
+        io::ErrorKind::InvalidInput,
+        format!(
+            "{} holds the shards of a server with another worker count than {workers}",
+            opts.dir.display()
+        ),
+    ))
 }
 
-impl DurableShardedStore {
-    /// Opens (or creates) a durable store in `dir`, recovering every shard
-    /// from its checkpoint + log.
+/// `i` for `shard-<i>.ckpt` and `shard-<i>.wal`.
+fn shard_file_index(name: &str) -> Option<usize> {
+    let (i, ext) = name.strip_prefix("shard-")?.split_once('.')?;
+    if matches!(ext, "ckpt" | "wal") {
+        i.parse().ok()
+    } else {
+        None
+    }
+}
+
+impl Shard {
+    /// Opens shard `id`: an empty index and no I/O without durability;
+    /// with it, the index recovered from `shard-<id>.ckpt` plus replay of
+    /// `shard-<id>.wal`.
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from recovery, and `InvalidData` for corrupt
-    /// checkpoints. (A corrupt or torn *log tail* is not an error: it is
+    /// I/O errors from recovery, and `InvalidData` for a corrupt
+    /// checkpoint. (A corrupt or torn *log tail* is not an error: it is
     /// truncated, per the recovery contract.)
-    ///
-    /// # Panics
-    ///
-    /// Panics if `opts.shard_bits > 8`.
-    pub fn open(dir: &Path, opts: DurabilityOptions) -> io::Result<Self> {
-        assert!(opts.shard_bits <= 8, "at most 256 shards");
-        std::fs::create_dir_all(dir)?;
-        let n = 1usize << opts.shard_bits;
-        let mut senders = Vec::with_capacity(n);
-        let mut handles = Vec::with_capacity(n);
-        let mut wals = Vec::with_capacity(n);
-        for i in 0..n {
-            let ckpt_path = dir.join(format!("shard-{i}.ckpt"));
-            let wal_path = dir.join(format!("shard-{i}.wal"));
-            let mut idx = match std::fs::File::open(&ckpt_path) {
-                Ok(f) => {
-                    let mut r = std::io::BufReader::new(f);
-                    dytis::persist::load_from(&mut r, opts.params)?
-                }
-                Err(e) if e.kind() == io::ErrorKind::NotFound => DyTis::with_params(opts.params),
-                Err(e) => return Err(e),
-            };
-            let recovered = durability::recover_log_file(&wal_path, |rec| match rec.op {
-                WalOp::Put => idx.insert(rec.key, rec.value),
-                WalOp::Delete => {
-                    idx.remove(rec.key);
-                }
-            })?;
-            if recovered.truncated_bytes > 0 {
-                obs::counter!("kv.wal.truncated_recoveries").inc();
+    pub(crate) fn open(
+        id: usize,
+        params: Params,
+        durability: Option<&DurabilityOptions>,
+    ) -> io::Result<Shard> {
+        let Some(opts) = durability else {
+            return Ok(Shard {
+                index: DyTis::with_params(params),
+                log: None,
+            });
+        };
+        let ckpt_path = opts.dir.join(format!("shard-{id}.ckpt"));
+        let mut index = match std::fs::File::open(&ckpt_path) {
+            Ok(f) => dytis::persist::load_from(&mut io::BufReader::new(f), params)?,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => DyTis::with_params(params),
+            Err(e) => return Err(e),
+        };
+        // Replay is the only writer of a served index besides `apply`;
+        // records are absolute puts/deletes, so a log that predates the
+        // newest checkpoint replays harmlessly.
+        let wal_path = opts.dir.join(format!("shard-{id}.wal"));
+        let recovered = durability::recover_log_file(&wal_path, |rec| match rec.op {
+            WalOp::Put => index.insert(rec.key, rec.value),
+            WalOp::Delete => {
+                index.remove(rec.key);
             }
-            let wal = Arc::new(Wal::start(
-                FileStorage::new(recovered.file),
-                recovered.next_seq,
-                durability::WalOptions {
-                    max_batch_records: opts.max_batch_records,
-                },
-            ));
-            let (tx, rx): (SyncSender<DurableCmd>, Receiver<DurableCmd>) = sync_channel(1024);
-            senders.push(tx);
-            wals.push(Arc::clone(&wal));
-            let shard_dir = dir.to_path_buf();
-            handles.push(std::thread::spawn(move || {
-                durable_engine(rx, idx, &wal, &shard_dir, i, opts.ops_per_checkpoint);
-            }));
+        })?;
+        if recovered.truncated_bytes > 0 {
+            obs::counter!("kv.wal.truncated_recoveries").inc();
         }
-        Ok(DurableShardedStore {
-            senders,
-            handles,
-            wals,
+        let wal = Wal::start(
+            FileStorage::new(recovered.file),
+            recovered.next_seq,
+            durability::WalOptions {
+                max_batch_records: opts.max_batch_records,
+            },
+        );
+        Ok(Shard {
+            index,
+            log: Some(Log {
+                wal: Arc::new(wal),
+                dir: opts.dir.clone(),
+                id,
+                ops_per_checkpoint: opts.ops_per_checkpoint,
+                since_checkpoint: 0,
+                unsynced: None,
+                failed: None,
+            }),
         })
     }
 
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.senders.len()
+    /// The shard's WAL, when durable.
+    pub(crate) fn wal(&self) -> Option<&Arc<Wal<FileStorage>>> {
+        self.log.as_ref().map(|log| &log.wal)
     }
 
-    /// Inserts or updates a pair; returns once the write is durable (the
-    /// group-commit fsync covering its WAL record has completed).
-    ///
-    /// # Errors
-    ///
-    /// Returns the shard WAL's sticky error if durability cannot be
-    /// guaranteed; the write must then be considered lost.
-    pub fn set(&self, key: Key, value: Value) -> io::Result<()> {
-        let shard = shard_of(key, self.senders.len());
-        let (tx, rx) = sync_channel(1);
-        // invariant: each engine thread holds its receiver until it sees
-        // Stop, which is only sent from shutdown()/crash()/drop.
-        self.senders[shard]
-            .send(DurableCmd::Set(key, value, tx))
-            .expect("engine alive");
-        // invariant: the engine replied above before dropping `tx`.
-        let seq = rx.recv().expect("engine replies")?;
-        self.wals[shard].sync(seq)
+    /// Read access to the index (stats and audits).
+    pub(crate) fn index(&self) -> &DyTis {
+        &self.index
     }
 
-    /// Point lookup (reads need no WAL interaction).
-    pub fn get(&self, key: Key) -> Option<Value> {
-        let shard = shard_of(key, self.senders.len());
-        let (tx, rx) = sync_channel(1);
-        // invariant: the engine outlives `self` and replies to every Get.
-        self.senders[shard]
-            .send(DurableCmd::Get(key, tx))
-            .expect("engine alive");
-        // invariant: the engine replied above before dropping `tx`.
-        rx.recv().expect("engine replies")
-    }
-
-    /// Deletes a key, returning its value once the delete is durable.
-    /// Deleting an absent key logs nothing and returns `Ok(None)`.
-    ///
-    /// # Errors
-    ///
-    /// As [`DurableShardedStore::set`].
-    pub fn del(&self, key: Key) -> io::Result<Option<Value>> {
-        let shard = shard_of(key, self.senders.len());
-        let (tx, rx) = sync_channel(1);
-        // invariant: the engine outlives `self` and replies to every Del.
-        self.senders[shard]
-            .send(DurableCmd::Del(key, tx))
-            .expect("engine alive");
-        // invariant: the engine replied above before dropping `tx`.
-        let (prev, seq) = rx.recv().expect("engine replies");
-        match seq {
-            Some(seq) => {
-                self.wals[shard].sync(seq?)?;
-                Ok(prev)
+    /// Runs one op: the only code that mutates a served index. A durable
+    /// shard appends each mutation to its WAL first and skips the mutation
+    /// if the append fails; the next [`Shard::commit`] then reports the
+    /// failure. Deleting an absent key logs nothing.
+    #[inline]
+    pub(crate) fn apply(&mut self, op: Op) -> Reply {
+        match op {
+            Op::Set(k, v) => {
+                if self
+                    .log
+                    .as_mut()
+                    .is_none_or(|log| log.append(WalOp::Put, k, v))
+                {
+                    self.index.insert(k, v);
+                }
+                Reply::Value(None)
             }
-            None => Ok(prev),
-        }
-    }
-
-    /// Ordered scan across shards (shards own ordered, disjoint ranges).
-    /// Not atomic across shards: writers keep running while the scan
-    /// moves from one shard to the next.
-    pub fn scan(&self, start: Key, count: usize) -> Vec<(Key, Value)> {
-        let mut out = Vec::with_capacity(count.min(4096));
-        let mut cursor = start;
-        for s in shard_of(start, self.senders.len())..self.senders.len() {
-            let (tx, rx) = sync_channel(1);
-            // invariant: the engine outlives `self` and replies to every Scan.
-            self.senders[s]
-                .send(DurableCmd::Scan(cursor, count - out.len(), tx))
-                .expect("engine alive");
-            // invariant: the engine replied above before dropping `tx`.
-            out.extend(rx.recv().expect("engine replies"));
-            if out.len() >= count {
-                break;
+            Op::Get(k) => Reply::Value(self.index.get(k)),
+            Op::Del(k) => {
+                let logged = match &mut self.log {
+                    None => true,
+                    Some(log) => self.index.get(k).is_some() && log.append(WalOp::Delete, k, 0),
+                };
+                Reply::Value(if logged { self.index.remove(k) } else { None })
             }
-            cursor = 0;
+            Op::Scan(start, limit) => {
+                let mut out = Vec::with_capacity(limit.min(1024));
+                self.index.scan(start, limit, &mut out);
+                Reply::Scan(out)
+            }
+            Op::Len => Reply::Len(self.index.len()),
         }
-        out
     }
 
-    /// Total keys across shards.
-    pub fn len(&self) -> usize {
-        let mut total = 0;
-        for s in &self.senders {
-            let (tx, rx) = sync_channel(1);
-            // invariant: the engine outlives `self` and replies to every Len.
-            s.send(DurableCmd::Len(tx)).expect("engine alive");
-            // invariant: the engine replied above before dropping `tx`.
-            total += rx.recv().expect("engine replies");
-        }
-        total
-    }
-
-    /// Returns `true` when no shard holds a key.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Checkpoints every shard and rotates its log.
+    /// Makes every record appended since the last commit durable with one
+    /// `Wal::sync`, then checkpoints if one is due. Nothing that reflects
+    /// those records may leave the worker before this returns `Ok`.
     ///
     /// # Errors
     ///
-    /// Returns the first shard's checkpoint or rotation error.
-    pub fn checkpoint_now(&self) -> io::Result<()> {
-        for s in &self.senders {
-            let (tx, rx) = sync_channel(1);
-            // invariant: the engine outlives `self` and replies to every
-            // Checkpoint.
-            s.send(DurableCmd::Checkpoint(tx)).expect("engine alive");
-            // invariant: the engine replied above before dropping `tx`.
-            rx.recv().expect("engine replies")?;
+    /// The first append error since the last commit, or the sync error:
+    /// the records are not acknowledged. Counted as `kv.wal.errors`.
+    pub(crate) fn commit(&mut self) -> io::Result<()> {
+        let Some(log) = &mut self.log else {
+            return Ok(());
+        };
+        let synced = match (log.failed.take(), log.unsynced.take()) {
+            (Some(e), _) => Err(e),
+            (None, Some(seq)) => log.wal.sync(seq),
+            (None, None) => Ok(()),
+        };
+        if synced.is_err() {
+            obs::counter!("kv.wal.errors").inc();
+        } else if log.ops_per_checkpoint > 0
+            && log.since_checkpoint >= log.ops_per_checkpoint
+            && log.checkpoint(&self.index).is_err()
+        {
+            // Leave the log growing; the next commit retries. The WAL
+            // still guarantees durability, only replay time grows.
+            obs::counter!("kv.ckpt.errors").inc();
         }
+        synced
+    }
+
+    /// Checkpoints the shard and rotates its log; a no-op when the shard
+    /// is not durable.
+    ///
+    /// # Errors
+    ///
+    /// The checkpoint write or the log rotation failed.
+    pub(crate) fn checkpoint(&mut self) -> io::Result<()> {
+        match &mut self.log {
+            Some(log) => log.checkpoint(&self.index),
+            None => Ok(()),
+        }
+    }
+}
+
+impl Log {
+    fn append(&mut self, op: WalOp, key: Key, value: Value) -> bool {
+        match self.wal.append(op, key, value) {
+            Ok(seq) => {
+                self.unsynced = Some(seq);
+                self.since_checkpoint += 1;
+                true
+            }
+            Err(e) => {
+                self.failed.get_or_insert(e);
+                false
+            }
+        }
+    }
+
+    /// Writes `shard-<i>.ckpt` atomically (tmp + fsync + rename + dir
+    /// fsync), then rotates the WAL. The worker is the log's only
+    /// appender, so every record the rotation retires is in the index.
+    fn checkpoint(&mut self, index: &DyTis) -> io::Result<()> {
+        let _t = obs::Timer::start(obs::histogram!("kv.ckpt_ns"));
+        let tmp = self.dir.join(format!("shard-{}.ckpt.tmp", self.id));
+        let dst = self.dir.join(format!("shard-{}.ckpt", self.id));
+        {
+            let file = std::fs::File::create(&tmp)?;
+            let mut w = io::BufWriter::new(file);
+            dytis::persist::save_to(index, &mut w)?;
+            let file = w.into_inner().map_err(|e| e.into_error())?;
+            file.sync_data()?;
+        }
+        std::fs::rename(&tmp, &dst)?;
+        // Make the rename itself durable before the log is rotated away.
+        #[cfg(unix)]
+        std::fs::File::open(&self.dir)?.sync_all()?;
+        self.wal.rotate()?;
+        self.since_checkpoint = 0;
+        obs::counter!("kv.ckpt.written").inc();
         Ok(())
     }
-
-    /// Pooled structure-maintenance counters across all shard engines
-    /// (splits, expansions, remaps, doublings, shrinks, keys moved). The
-    /// scenario lab samples this live to correlate drift with maintenance.
-    pub fn maintenance_stats(&self) -> MaintenanceStats {
-        let mut agg = MaintenanceStats::default();
-        for s in &self.senders {
-            let (tx, rx) = sync_channel(1);
-            // invariant: the engine outlives `self` and replies to every
-            // Stats.
-            s.send(DurableCmd::Stats(tx)).expect("engine alive");
-            // invariant: the engine replied above before dropping `tx`.
-            agg.merge(&rx.recv().expect("engine replies"));
-        }
-        agg
-    }
-
-    /// Deep structural audit of every shard's index, merged into one
-    /// report. Each shard audits quiesced (its engine thread runs the
-    /// audit between commands), so the result is exact.
-    pub fn audit(&self) -> AuditReport {
-        let mut agg = AuditReport::new("DurableShardedStore");
-        for s in &self.senders {
-            let (tx, rx) = sync_channel(1);
-            // invariant: the engine outlives `self` and replies to every
-            // Audit.
-            s.send(DurableCmd::Audit(tx)).expect("engine alive");
-            // invariant: the engine replied above before dropping `tx`.
-            agg.merge(rx.recv().expect("engine replies"));
-        }
-        agg
-    }
-
-    /// Aggregated group-commit statistics across all shard WALs.
-    pub fn wal_stats(&self) -> WalStats {
-        let mut agg = WalStats {
-            batches: 0,
-            records: 0,
-            synced_bytes: 0,
-            rotations: 0,
-        };
-        for w in &self.wals {
-            let s = w.stats();
-            agg.batches += s.batches;
-            agg.records += s.records;
-            agg.synced_bytes += s.synced_bytes;
-            agg.rotations += s.rotations;
-        }
-        agg
-    }
-
-    /// Simulates `kill -9`: WAL committers abort without flushing their
-    /// queues, pending acks fail, and nothing is checkpointed. The on-disk
-    /// state is whatever the committers had already written — reopen with
-    /// [`DurableShardedStore::open`] to recover exactly the acknowledged
-    /// writes.
-    pub fn crash(mut self) {
-        for w in &self.wals {
-            w.crash();
-        }
-        for s in &self.senders {
-            let _ = s.send(DurableCmd::Stop);
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-
-    /// Graceful shutdown: flushes every WAL and joins all threads.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first shard's sticky WAL error, if any.
-    pub fn shutdown(mut self) -> io::Result<()> {
-        for s in &self.senders {
-            let _ = s.send(DurableCmd::Stop);
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-        let mut result = Ok(());
-        for w in self.wals.drain(..) {
-            match Arc::try_unwrap(w) {
-                Ok(wal) => {
-                    let (_storage, health) = wal.close();
-                    if result.is_ok() {
-                        result = health;
-                    }
-                }
-                // invariant: engines are joined above, so the store holds
-                // the only remaining reference to each WAL.
-                Err(_) => unreachable!("engine threads joined before close"),
-            }
-        }
-        result
-    }
-}
-
-impl Drop for DurableShardedStore {
-    fn drop(&mut self) {
-        for s in &self.senders {
-            let _ = s.send(DurableCmd::Stop);
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-        // Remaining Arc<Wal> drops flush gracefully via Wal's own Drop.
-    }
-}
-
-/// One shard's engine loop: WAL-append before apply, periodic checkpoint +
-/// rotation.
-fn durable_engine(
-    rx: Receiver<DurableCmd>,
-    mut idx: DyTis,
-    wal: &Wal<FileStorage>,
-    dir: &Path,
-    shard: usize,
-    ops_per_checkpoint: u64,
-) {
-    let mut ops_since_ckpt = 0u64;
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            DurableCmd::Set(k, v, reply) => {
-                // Log first: the record must be queued before the apply so
-                // an ack (sync on the replied seq) implies the WAL covers
-                // the state the client observed.
-                let seq = wal.append(WalOp::Put, k, v);
-                if seq.is_ok() {
-                    idx.insert(k, v);
-                    ops_since_ckpt += 1;
-                }
-                let _ = reply.send(seq);
-            }
-            DurableCmd::Get(k, reply) => {
-                let _ = reply.send(idx.get(k));
-            }
-            DurableCmd::Del(k, reply) => {
-                if idx.get(k).is_some() {
-                    let seq = wal.append(WalOp::Delete, k, 0);
-                    let prev = if seq.is_ok() { idx.remove(k) } else { None };
-                    ops_since_ckpt += u64::from(prev.is_some());
-                    let _ = reply.send((prev, Some(seq)));
-                } else {
-                    let _ = reply.send((None, None));
-                }
-            }
-            DurableCmd::Scan(start, count, reply) => {
-                let mut out = Vec::with_capacity(count.min(1024));
-                idx.scan(start, count, &mut out);
-                let _ = reply.send(out);
-            }
-            DurableCmd::Len(reply) => {
-                let _ = reply.send(idx.len());
-            }
-            DurableCmd::Checkpoint(reply) => {
-                let r = checkpoint_shard(&idx, wal, dir, shard);
-                if r.is_ok() {
-                    ops_since_ckpt = 0;
-                }
-                let _ = reply.send(r);
-            }
-            DurableCmd::Stats(reply) => {
-                let _ = reply.send(idx.stats().ops);
-            }
-            DurableCmd::Audit(reply) => {
-                let _ = reply.send(idx.audit());
-            }
-            DurableCmd::Stop => break,
-        }
-        if ops_per_checkpoint > 0 && ops_since_ckpt >= ops_per_checkpoint {
-            match checkpoint_shard(&idx, wal, dir, shard) {
-                Ok(()) => ops_since_ckpt = 0,
-                // Leave the log growing; the next threshold retries. The
-                // WAL still guarantees durability, only replay time grows.
-                Err(_) => obs::counter!("kv.ckpt.errors").inc(),
-            }
-        }
-    }
-}
-
-/// Writes `shard-<i>.ckpt` atomically (tmp + fsync + rename + dir fsync),
-/// then rotates the shard's WAL.
-fn checkpoint_shard(
-    idx: &DyTis,
-    wal: &Wal<FileStorage>,
-    dir: &Path,
-    shard: usize,
-) -> io::Result<()> {
-    let _t = obs::Timer::start(obs::histogram!("kv.ckpt_ns"));
-    let tmp: PathBuf = dir.join(format!("shard-{shard}.ckpt.tmp"));
-    let dst: PathBuf = dir.join(format!("shard-{shard}.ckpt"));
-    {
-        let file = std::fs::File::create(&tmp)?;
-        let mut w = std::io::BufWriter::new(file);
-        dytis::persist::save_to(idx, &mut w)?;
-        let file = w.into_inner().map_err(|e| e.into_error())?;
-        file.sync_data()?;
-    }
-    std::fs::rename(&tmp, &dst)?;
-    // Make the rename itself durable before the log is rotated away.
-    #[cfg(unix)]
-    std::fs::File::open(dir)?.sync_all()?;
-    wal.rotate()?;
-    obs::counter!("kv.ckpt.written").inc();
-    Ok(())
 }
 
 #[cfg(test)]
@@ -503,9 +368,9 @@ mod tests {
         }
     }
 
-    /// `DurableShardedStore` used to route by the top `shard_bits` key
-    /// bits, and recovery loads each shard's files back into that shard,
-    /// so existing store directories rely on the two functions agreeing.
+    /// Durable directories written when shards were placed by the top
+    /// `shard_bits` key bits recover each shard's files into the same
+    /// shard, so for powers of two the two functions must agree.
     #[test]
     fn shard_of_matches_top_bits_for_powers_of_two() {
         for bits in 0..=8u32 {
@@ -519,5 +384,36 @@ mod tests {
                 assert_eq!(shard_of(key, 1 << bits), top, "key {key:#x}, {bits} bits");
             }
         }
+    }
+
+    #[test]
+    fn fresh_directory_gets_every_shard_log_up_front() {
+        let dir = std::env::temp_dir().join(format!("kvstore-prepare-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = DurabilityOptions {
+            dir: dir.clone(),
+            ops_per_checkpoint: 0,
+            max_batch_records: 64,
+        };
+        prepare_dir(&opts, 4).expect("fresh directory");
+        for i in 0..4 {
+            assert!(dir.join(format!("shard-{i}.wal")).exists(), "shard {i} log");
+        }
+        prepare_dir(&opts, 4).expect("same worker count");
+        // A directory missing one shard's files is refused, not treated
+        // as fresh for that shard.
+        std::fs::remove_file(dir.join("shard-2.wal")).expect("remove");
+        let err = prepare_dir(&opts, 4).expect_err("a shard is missing");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn shard_file_names_parse() {
+        assert_eq!(shard_file_index("shard-3.wal"), Some(3));
+        assert_eq!(shard_file_index("shard-12.ckpt"), Some(12));
+        assert_eq!(shard_file_index("shard-1.ckpt.tmp"), None);
+        assert_eq!(shard_file_index("shard-x.wal"), None);
+        assert_eq!(shard_file_index("notes.txt"), None);
     }
 }

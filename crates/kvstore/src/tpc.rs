@@ -6,9 +6,10 @@
 //! threads (default `available_parallelism`), each owning
 //!
 //! - its **own listener** (so a routing client can target a worker),
-//! - its **own single-threaded [`DyTis`] shard** — keys are partitioned
-//!   into contiguous ranges by [`shard_of`], so the data plane takes no
-//!   cross-thread lock at all, and
+//! - its **own shard** (`crate::shard::Shard`), a single-threaded
+//!   `DyTis` — keys are partitioned into contiguous ranges by
+//!   [`shard_of`], so the data plane takes no cross-thread lock at all,
+//!   and
 //! - a **nonblocking connection set** driven by the `poll(2)` reactor
 //!   (`crate::reactor`), with reads, applies, and writes batched per
 //!   wakeup.
@@ -21,6 +22,14 @@
 //! ([`crate::RoutedClient`]) that partitions its batches by
 //! [`shard_of`] never pays the hop.
 //!
+//! With [`TpcOptions::durability`] each shard keeps a write-ahead log and
+//! checkpoints (DESIGN.md §9): a worker recovers its shard before serving,
+//! logs every mutation it owns (forwarded ones included) before applying
+//! it, and group-commits per wakeup — one `Wal::sync` covers every record
+//! the wakeup appended, and no response byte or `Done` message leaves the
+//! worker before it. A WAL failure is never acknowledged: the affected
+//! connections are closed instead.
+//!
 //! Both protocols are served, negotiated by the first byte of the
 //! session: `0xDF` selects the `DYF1` binary frame (`crate::frame`),
 //! anything else the line protocol — over the *same* resource envelope
@@ -29,18 +38,19 @@
 //! reaping, and a graceful deadline drain).
 //!
 //! Cross-shard reads (`LEN`, a `SCAN` spanning range boundaries) are
-//! gathered without stopping writers and are therefore not atomic across
-//! shards — the same contract [`crate::DurableShardedStore`] documents.
+//! gathered hop by hop without stopping writers and are therefore not
+//! atomic across shards: a scan sees each shard as of its own hop.
 
 #![cfg(unix)]
 
 use crate::frame::{self, Decoded};
 use crate::protocol::{self, format_response, parse_request, Request, Response};
 use crate::reactor::{poll_events, PollFd, WakePipe, POLL_IN, POLL_OUT};
-use crate::shard_of;
+use crate::shard::{prepare_dir, shard_of, DurabilityOptions, Op, Reply, Shard};
 use crate::{DrainReport, ServerOptions};
-use dytis::DyTis;
-use index_traits::{Key, KvIndex, Value};
+use durability::{FileStorage, Wal, WalStats};
+use dytis::Params;
+use index_traits::{AuditReport, Auditable, Key, MaintenanceStats, Value};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Result, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -61,6 +71,12 @@ pub struct TpcOptions {
     /// connection budget and `live_connections` gauge are global across
     /// workers, timeouts and the line cap apply per connection.
     pub server: ServerOptions,
+    /// Geometry of every worker's shard index. Checkpoints carry raw
+    /// pairs, so a durable directory may be reopened with other params.
+    pub params: Params,
+    /// Per-shard WAL and checkpoints; `None` (the default) serves from
+    /// memory only, with no file I/O at all.
+    pub durability: Option<DurabilityOptions>,
 }
 
 /// How many bytes one wakeup reads from one connection before moving on.
@@ -83,38 +99,29 @@ struct Shared {
     wakes: Vec<WakePipe>,
 }
 
-/// A cross-worker message. `Apply` asks the shard owner to run one op;
-/// `Done` returns the result to the connection's owning worker.
+/// A message to a worker. `Apply` asks the shard owner to run one op;
+/// `Done` returns the result to the connection's owning worker, and
+/// `Failed` tells it the op was not made durable, so the connection must
+/// close unacknowledged. `Control` runs a handle request on the shard
+/// between wakeups.
 enum Msg {
     Apply {
         from: usize,
         conn: u64,
         seq: u64,
         idx: u32,
-        op: RemoteOp,
+        op: Op,
     },
     Done {
         conn: u64,
         seq: u64,
         idx: u32,
-        resp: RemoteResp,
+        resp: Reply,
     },
-}
-
-enum RemoteOp {
-    Set(Key, Value),
-    Get(Key),
-    Del(Key),
-    Scan(Key, usize),
-    Len,
-}
-
-enum RemoteResp {
-    Set,
-    Get(Option<Value>),
-    Del(Option<Value>),
-    Scan(Vec<(Key, Value)>),
-    Len(usize),
+    Failed {
+        conn: u64,
+    },
+    Control(Box<dyn FnOnce(&mut Shard) + Send>),
 }
 
 /// A running thread-per-core server.
@@ -122,6 +129,12 @@ pub struct TpcServer {
     addrs: Vec<SocketAddr>,
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
+    /// Every worker's inbox, for control requests.
+    inboxes: Vec<Sender<Msg>>,
+    /// Every durable shard's WAL, for `crash()` and `wal_stats()`.
+    wals: Vec<Arc<Wal<FileStorage>>>,
+    /// Workers own shard files: stopping waits for them with no deadline.
+    durable: bool,
 }
 
 impl TpcServer {
@@ -137,18 +150,24 @@ impl TpcServer {
         Self::with_options(addr, TpcOptions::default())
     }
 
-    /// Starts with an explicit worker count and resource envelope.
+    /// Starts with explicit options. A durable server recovers every
+    /// shard from its directory before it serves.
     ///
     /// # Errors
     ///
-    /// Returns any bind or reactor-setup error, or `InvalidInput` when an
-    /// explicit port plus the worker count would overflow the port space.
+    /// Returns any bind or reactor-setup error, `InvalidInput` when an
+    /// explicit port plus the worker count would overflow the port space
+    /// or when the durable directory was written with another worker
+    /// count, and any recovery error.
     pub fn with_options<A: ToSocketAddrs>(addr: A, opts: TpcOptions) -> Result<TpcServer> {
         let workers = if opts.workers == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
             opts.workers
         };
+        if let Some(d) = &opts.durability {
+            prepare_dir(d, workers)?;
+        }
         let base = addr
             .to_socket_addrs()?
             .next()
@@ -195,19 +214,62 @@ impl TpcServer {
             senders.push(tx);
             inboxes.push(rx);
         }
+        // Each worker opens (and, when durable, recovers) its own shard
+        // on its own thread before it serves, and reports back: the
+        // server is returned only once every shard is ready.
+        let (ready_tx, ready_rx) = channel();
         let mut handles = Vec::with_capacity(workers);
         for (id, (listener, inbox)) in listeners.into_iter().zip(inboxes).enumerate() {
             let peers: Vec<Sender<Msg>> = senders.iter().map(Sender::clone).collect();
             let shared = Arc::clone(&shared);
+            let ready = ready_tx.clone();
+            let durability = opts.durability.clone();
             handles.push(std::thread::spawn(move || {
-                Worker::new(id, listener, inbox, peers, shared).run();
+                match Shard::open(id, opts.params, durability.as_ref()) {
+                    Ok(shard) => {
+                        let _ = ready.send(Ok(shard.wal().cloned()));
+                        drop(ready);
+                        let worker = Worker {
+                            id,
+                            listener,
+                            inbox,
+                            peers,
+                            shared,
+                            shard,
+                            conns: HashMap::new(),
+                            next_conn_id: 0,
+                            outbox: Vec::new(),
+                            dirty: Vec::new(),
+                        };
+                        worker.run();
+                    }
+                    Err(e) => {
+                        let _ = ready.send(Err(e));
+                    }
+                }
             }));
         }
-        Ok(TpcServer {
+        drop(ready_tx);
+        let mut server = TpcServer {
             addrs,
             shared,
             handles,
-        })
+            inboxes: senders,
+            wals: Vec::with_capacity(workers),
+            durable: opts.durability.is_some(),
+        };
+        let mut opened = 0;
+        for report in ready_rx {
+            opened += 1;
+            match report {
+                Ok(wal) => server.wals.extend(wal),
+                Err(e) => return Err(e), // dropping `server` stops the rest
+            }
+        }
+        if opened < workers {
+            return Err(std::io::Error::other("a worker died opening its shard"));
+        }
+        Ok(server)
     }
 
     /// Worker 0's address — a full-service endpoint for clients that do
@@ -234,9 +296,107 @@ impl TpcServer {
     }
 
     /// Stops accepting, force-closes every connection, and joins workers
-    /// under [`ServerOptions::drain_deadline`].
+    /// under [`ServerOptions::drain_deadline`] — a durable server joins
+    /// them with no deadline, so no worker outlives the handle on its
+    /// shard files. A durable server's WALs then flush and close; every
+    /// acknowledged write was already synced. `drained` is also `false`
+    /// when a log reports an error as it closes (for example a failed
+    /// rotation after the last acknowledged write).
     pub fn shutdown(mut self) -> DrainReport {
+        let mut report = self.stop_inner();
+        for wal in self.wals.drain(..) {
+            // The workers are joined, so the handle holds the last
+            // reference to each log.
+            let healthy = Arc::try_unwrap(wal).is_ok_and(|wal| wal.close().1.is_ok());
+            report.drained &= healthy;
+        }
+        report
+    }
+
+    /// Simulates `kill -9`: WAL committers abort without flushing their
+    /// queues, workers stop, and nothing is flushed or checkpointed. The
+    /// directory keeps what the committers had already written, so a new
+    /// durable server on it recovers every acknowledged write. Every
+    /// worker has exited when this returns.
+    pub fn crash(mut self) -> DrainReport {
+        for w in &self.wals {
+            w.crash();
+        }
         self.stop_inner()
+    }
+
+    /// Checkpoints every shard and rotates its log; a no-op without
+    /// durability.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first shard's checkpoint or rotation error.
+    pub fn checkpoint_now(&self) -> Result<()> {
+        self.on_every_shard(Shard::checkpoint).into_iter().collect()
+    }
+
+    /// Group-commit statistics summed over every shard's WAL (all zero
+    /// without durability).
+    pub fn wal_stats(&self) -> WalStats {
+        let mut agg = WalStats {
+            batches: 0,
+            records: 0,
+            synced_bytes: 0,
+            rotations: 0,
+        };
+        for s in self.wals.iter().map(|w| w.stats()) {
+            agg.batches += s.batches;
+            agg.records += s.records;
+            agg.synced_bytes += s.synced_bytes;
+            agg.rotations += s.rotations;
+        }
+        agg
+    }
+
+    /// Structure-maintenance counters (splits, expansions, remaps,
+    /// doublings, shrinks, keys moved) pooled over every shard.
+    pub fn maintenance_stats(&self) -> MaintenanceStats {
+        let mut agg = MaintenanceStats::default();
+        for s in self.on_every_shard(|s| s.index().stats().ops) {
+            agg.merge(&s);
+        }
+        agg
+    }
+
+    /// Deep structural audit of every shard's index, merged into one
+    /// report. Each worker audits between wakeups, so each shard's result
+    /// is exact.
+    pub fn audit(&self) -> AuditReport {
+        let mut agg = AuditReport::new("TpcServer");
+        for r in self.on_every_shard(|s| s.index().audit()) {
+            agg.merge(r);
+        }
+        agg
+    }
+
+    /// Runs `f` on every worker's shard between wakeups and collects the
+    /// results, in no particular order.
+    fn on_every_shard<T: Send + 'static>(&self, f: fn(&mut Shard) -> T) -> Vec<T> {
+        let (tx, rx) = channel();
+        for (inbox, wake) in self.inboxes.iter().zip(&self.shared.wakes) {
+            let tx = tx.clone();
+            let run = move |shard: &mut Shard| {
+                let _ = tx.send(f(shard));
+            };
+            // A send fails only if the worker exited; the count below
+            // reports that.
+            if inbox.send(Msg::Control(Box::new(run))).is_ok() {
+                wake.wake();
+            }
+        }
+        drop(tx);
+        let out: Vec<T> = rx.iter().collect();
+        assert_eq!(
+            out.len(),
+            self.inboxes.len(),
+            "a worker exited before shutdown"
+        );
+        out
     }
 
     fn stop_inner(&mut self) -> DrainReport {
@@ -246,7 +406,9 @@ impl TpcServer {
         for w in &self.shared.wakes {
             w.wake();
         }
-        let deadline = Instant::now() + self.shared.opts.drain_deadline;
+        // A durable worker must not outlive the handle, or a new server
+        // on the same directory would share its shard files: no deadline.
+        let deadline = (!self.durable).then(|| Instant::now() + self.shared.opts.drain_deadline);
         let mut handles: Vec<JoinHandle<()>> = self.handles.drain(..).collect();
         loop {
             let mut i = 0;
@@ -257,7 +419,7 @@ impl TpcServer {
                     i += 1;
                 }
             }
-            if handles.is_empty() || Instant::now() >= deadline {
+            if handles.is_empty() || deadline.is_some_and(|d| Instant::now() >= d) {
                 break;
             }
             std::thread::sleep(Duration::from_millis(1));
@@ -304,14 +466,12 @@ enum Slot {
         applied: u64,
         awaiting: u32,
     },
-    Get {
+    /// GET or DEL: the value found or removed per key, final once
+    /// nothing is awaited.
+    Values {
         binary: bool,
-        results: Vec<Option<(bool, Value)>>,
-        awaiting: u32,
-    },
-    Del {
-        binary: bool,
-        results: Vec<Option<(bool, Value)>>,
+        del: bool,
+        results: Vec<Option<Value>>,
         awaiting: u32,
     },
     Scan {
@@ -333,13 +493,72 @@ impl Slot {
         match self {
             Slot::Ready(_) | Slot::ReadyClose(_) => true,
             Slot::Set { awaiting, .. }
-            | Slot::Get { awaiting, .. }
-            | Slot::Del { awaiting, .. }
+            | Slot::Values { awaiting, .. }
             | Slot::Len { awaiting, .. } => *awaiting == 0,
-            // Scan completion is driven by the chaining logic, which
-            // replaces the slot with Ready when the chain ends.
+            // `fill` replaces a scan slot with `Ready` when its chain
+            // ends.
             Slot::Scan { .. } => false,
         }
+    }
+
+    /// Records the reply to the op at `idx` of this slot's request, from
+    /// the local shard or a peer. Returns a scan's next hop: the worker to
+    /// send it to and the op.
+    fn fill(&mut self, idx: u32, resp: Reply, workers: usize) -> Option<(usize, Op)> {
+        match (&mut *self, resp) {
+            (
+                Slot::Set {
+                    applied, awaiting, ..
+                },
+                Reply::Value(_),
+            ) => {
+                *applied += 1;
+                *awaiting -= 1;
+            }
+            (
+                Slot::Values {
+                    results, awaiting, ..
+                },
+                Reply::Value(v),
+            ) => {
+                if let Some(r) = results.get_mut(idx as usize) {
+                    *r = v;
+                }
+                *awaiting -= 1;
+            }
+            (
+                Slot::Len {
+                    total, awaiting, ..
+                },
+                Reply::Len(n),
+            ) => {
+                *total += n as u64;
+                *awaiting -= 1;
+            }
+            (
+                Slot::Scan {
+                    binary,
+                    acc,
+                    start,
+                    limit,
+                    next_shard,
+                },
+                Reply::Scan(pairs),
+            ) => {
+                acc.extend(pairs);
+                if acc.len() < *limit && *next_shard < workers {
+                    *next_shard += 1;
+                    return Some((*next_shard - 1, Op::Scan(*start, *limit - acc.len())));
+                }
+                let bytes = serialize_scan(*binary, acc);
+                *self = Slot::Ready(bytes);
+            }
+            // A mismatched completion can only come from memory
+            // corruption or a logic bug; drop it rather than panic the
+            // worker.
+            _ => {}
+        }
+        None
     }
 }
 
@@ -388,6 +607,16 @@ impl Conn {
     fn has_backlog(&self) -> bool {
         !self.pending.is_empty() || self.outbuf.len() > self.out_pos
     }
+
+    /// Queues the response slot of the next request; returns its
+    /// sequence number.
+    fn push(&mut self, slot: Slot) -> u64 {
+        let seq = self.next_seq;
+        debug_assert_eq!(seq, self.head_seq + self.pending.len() as u64);
+        self.next_seq += 1;
+        self.pending.push_back(slot);
+        seq
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -400,31 +629,16 @@ struct Worker {
     inbox: Receiver<Msg>,
     peers: Vec<Sender<Msg>>,
     shared: Arc<Shared>,
-    index: DyTis,
+    shard: Shard,
     conns: HashMap<u64, Conn>,
     next_conn_id: u64,
+    /// `Done` messages held until the wakeup's commit.
+    outbox: Vec<(usize, Msg)>,
+    /// Connections whose responses are flushed at the wakeup's commit.
+    dirty: Vec<u64>,
 }
 
 impl Worker {
-    fn new(
-        id: usize,
-        listener: TcpListener,
-        inbox: Receiver<Msg>,
-        peers: Vec<Sender<Msg>>,
-        shared: Arc<Shared>,
-    ) -> Worker {
-        Worker {
-            id,
-            listener,
-            inbox,
-            peers,
-            shared,
-            index: DyTis::new(),
-            conns: HashMap::new(),
-            next_conn_id: 0,
-        }
-    }
-
     fn run(mut self) {
         let mut entries: Vec<PollFd> = Vec::new();
         let mut tokens: Vec<u64> = Vec::new();
@@ -465,10 +679,12 @@ impl Worker {
                 obs::counter!("kv.wakeups").inc();
             }
             self.shared.wakes[self.id].drain();
+            let mut to_close: Vec<u64> = Vec::new();
 
-            // 1. Peer messages: apply forwarded ops on the local shard and
-            //    deliver completions to waiting connections.
-            self.drain_inbox();
+            // 1. Peer messages: apply forwarded ops on the local shard,
+            //    deliver completions to waiting connections, and run
+            //    control requests.
+            self.drain_inbox(&mut to_close);
 
             // 2. Accept any pending connections (admission-controlled).
             if entries[1].readable() {
@@ -477,7 +693,6 @@ impl Worker {
 
             // 3. Read every readable connection; parse and apply its ops
             //    as one batch per wakeup.
-            let mut to_close: Vec<u64> = Vec::new();
             for (entry, &token) in entries.iter().zip(&tokens).skip(2) {
                 if entry.readable() {
                     if let Some(conn) = self.conns.get_mut(&token) {
@@ -488,13 +703,16 @@ impl Worker {
                         continue;
                     }
                 }
-                if entry.writable() && !self.flush_conn(token) {
-                    to_close.push(token);
+                if entry.readable() || entry.writable() {
+                    self.dirty.push(token);
                 }
             }
 
             // 4. Timeout sweep (idle reap + stalled writes).
             self.sweep_timeouts(&mut to_close);
+
+            // 5. Group commit, then release what this wakeup produced.
+            self.commit(&mut to_close);
 
             for id in to_close {
                 self.close_conn(id);
@@ -553,8 +771,9 @@ impl Worker {
     // -- reading and parsing -------------------------------------------
 
     /// Reads what the socket has, parses complete requests, applies the
-    /// local ones, forwards the remote ones, and flushes. Returns `false`
-    /// when the connection should close now.
+    /// local ones, and forwards the remote ones; the responses wait for
+    /// the wakeup's commit. Returns `false` when the connection should
+    /// close now.
     fn read_and_apply(&mut self, id: u64) -> bool {
         let mut tmp = [0u8; READ_CHUNK];
         let mut got_eof = false;
@@ -612,7 +831,7 @@ impl Worker {
                 return false;
             }
         }
-        self.flush_conn(id)
+        true
     }
 
     /// Parses every complete request in the connection's input buffer.
@@ -679,35 +898,22 @@ impl Worker {
             }
         }
         let line_end = conn.inbuf.iter().position(|&b| b == b'\n');
-        let line = match line_end {
-            Some(i) => {
-                if i > opts_cap {
-                    obs::counter!("kv.oversized").inc();
-                    conn.inbuf.drain(..=i);
-                    let seq = conn.next_seq;
-                    conn.next_seq += 1;
-                    let msg = format!("ERR line too long (max {opts_cap} bytes)\n");
-                    Self::push_slot(conn, seq, Slot::Ready(msg.into_bytes()));
-                    return true;
-                }
-                let line: Vec<u8> = conn.inbuf.drain(..=i).collect();
-                line
-            }
-            None => {
-                // No newline yet: enforce the cap on the partial line so a
-                // newline-free stream stays O(cap) in memory.
-                if conn.inbuf.len() > opts_cap {
-                    obs::counter!("kv.oversized").inc();
-                    conn.inbuf.clear();
-                    conn.skipping = true;
-                    let seq = conn.next_seq;
-                    conn.next_seq += 1;
-                    let msg = format!("ERR line too long (max {opts_cap} bytes)\n");
-                    Self::push_slot(conn, seq, Slot::Ready(msg.into_bytes()));
-                }
-                return false;
-            }
+        // With no newline yet the cap applies to the partial line, which is
+        // dropped and skipped through its newline: a newline-free stream
+        // stays O(cap) in memory.
+        if line_end.unwrap_or(conn.inbuf.len()) > opts_cap {
+            obs::counter!("kv.oversized").inc();
+            conn.inbuf
+                .drain(..line_end.map_or(conn.inbuf.len(), |i| i + 1));
+            conn.skipping = line_end.is_none();
+            let msg = format!("ERR line too long (max {opts_cap} bytes)\n");
+            conn.push(Slot::Ready(msg.into_bytes()));
+            return line_end.is_some();
+        }
+        let Some(i) = line_end else {
+            return false;
         };
+        let line: Vec<u8> = conn.inbuf.drain(..=i).collect();
         let text = String::from_utf8_lossy(&line);
         let text = text.trim_matches(|c: char| c == '\r' || c == '\n');
         if text.trim().is_empty() {
@@ -721,10 +927,8 @@ impl Worker {
                     Some(c) => c,
                     None => return false,
                 };
-                let seq = conn.next_seq;
-                conn.next_seq += 1;
                 let line = format!("{}\n", format_response(&Response::Err(e)));
-                Self::push_slot(conn, seq, Slot::Ready(line.into_bytes()));
+                conn.push(Slot::Ready(line.into_bytes()));
             }
         }
         true
@@ -734,15 +938,13 @@ impl Worker {
         *applied += 1;
         match req {
             Request::Set(k, v) => self.op_set(id, false, &[(k, v)]),
-            Request::Get(k) => self.op_get(id, false, &[k]),
-            Request::Del(k) => self.op_del(id, false, &[k]),
+            Request::Get(k) => self.op_values(id, false, false, &[k]),
+            Request::Del(k) => self.op_values(id, false, true, &[k]),
             Request::Scan(start, count) => self.op_scan(id, false, start, count),
             Request::Len => self.op_len(id, false),
             Request::Quit => {
                 if let Some(conn) = self.conns.get_mut(&id) {
-                    let seq = conn.next_seq;
-                    conn.next_seq += 1;
-                    Self::push_slot(conn, seq, Slot::ReadyClose(b"BYE\n".to_vec()));
+                    conn.push(Slot::ReadyClose(b"BYE\n".to_vec()));
                 }
             }
         }
@@ -791,17 +993,11 @@ impl Worker {
                     words.chunks_exact(2).map(|c| (c[0], c[1])).collect();
                 self.op_set(id, true, &pairs);
             }
-            frame::OP_GET => {
+            frame::OP_GET | frame::OP_DEL => {
                 if words.len() > frame::MAX_KEYS_PER_FRAME as usize {
                     return self.queue_err(id, frame::ERR_KEY_COUNT);
                 }
-                self.op_get(id, true, &words);
-            }
-            frame::OP_DEL => {
-                if words.len() > frame::MAX_KEYS_PER_FRAME as usize {
-                    return self.queue_err(id, frame::ERR_KEY_COUNT);
-                }
-                self.op_del(id, true, &words);
+                self.op_values(id, true, op == frame::OP_DEL, &words);
             }
             frame::OP_SCAN => {
                 if words.len() != 2 {
@@ -824,22 +1020,14 @@ impl Worker {
             }
             frame::OP_QUIT => {
                 if let Some(conn) = self.conns.get_mut(&id) {
-                    let seq = conn.next_seq;
-                    conn.next_seq += 1;
-                    let mut buf = Vec::new();
-                    frame::encode_frame(&mut buf, frame::RESP_BYE, &[]);
-                    Self::push_slot(conn, seq, Slot::ReadyClose(buf));
+                    conn.push(Slot::ReadyClose(frame_vec(frame::RESP_BYE, &[])));
                 }
             }
             frame::OP_HELLO => {
                 let me = self.id as u64;
                 let n = self.shared.workers as u64;
                 if let Some(conn) = self.conns.get_mut(&id) {
-                    let seq = conn.next_seq;
-                    conn.next_seq += 1;
-                    let mut buf = Vec::new();
-                    frame::encode_frame(&mut buf, frame::RESP_HELLO, &[me, n]);
-                    Self::push_slot(conn, seq, Slot::Ready(buf));
+                    conn.push(Slot::Ready(frame_vec(frame::RESP_HELLO, &[me, n])));
                 }
             }
             _ => self.queue_fatal_err(id, frame::ERR_UNKNOWN_OP),
@@ -851,21 +1039,13 @@ impl Worker {
     /// still in sync and the 1-response-per-request framing holds.
     fn queue_err(&mut self, id: u64, code: u64) {
         if let Some(conn) = self.conns.get_mut(&id) {
-            let seq = conn.next_seq;
-            conn.next_seq += 1;
-            let mut buf = Vec::new();
-            frame::encode_frame(&mut buf, frame::RESP_ERR, &[code]);
-            Self::push_slot(conn, seq, Slot::Ready(buf));
+            conn.push(Slot::Ready(frame_vec(frame::RESP_ERR, &[code])));
         }
     }
 
     fn queue_fatal_err(&mut self, id: u64, code: u64) {
         if let Some(conn) = self.conns.get_mut(&id) {
-            let seq = conn.next_seq;
-            conn.next_seq += 1;
-            let mut buf = Vec::new();
-            frame::encode_frame(&mut buf, frame::RESP_ERR, &[code]);
-            Self::push_slot(conn, seq, Slot::ReadyClose(buf));
+            conn.push(Slot::ReadyClose(frame_vec(frame::RESP_ERR, &[code])));
             conn.inbuf.clear();
             // Poison the connection immediately: the stream is
             // untrustworthy past this point, so no further bytes may be
@@ -879,13 +1059,13 @@ impl Worker {
 
     // -- op execution ---------------------------------------------------
 
-    fn push_slot(conn: &mut Conn, seq: u64, slot: Slot) {
-        debug_assert_eq!(seq, conn.head_seq + conn.pending.len() as u64);
-        let _ = seq;
-        conn.pending.push_back(slot);
+    /// Queues a response slot on connection `id`; returns its sequence
+    /// number, or `None` when the connection is gone.
+    fn queue(&mut self, id: u64, slot: Slot) -> Option<u64> {
+        Some(self.conns.get_mut(&id)?.push(slot))
     }
 
-    fn forward(&self, target: usize, conn: u64, seq: u64, idx: u32, op: RemoteOp) {
+    fn forward(&self, target: usize, conn: u64, seq: u64, idx: u32, op: Op) {
         let msg = Msg::Apply {
             from: self.id,
             conn,
@@ -893,232 +1073,116 @@ impl Worker {
             idx,
             op,
         };
-        // A send only fails when the peer worker already exited, which
-        // only happens during shutdown — the slot is then abandoned and
-        // the connection force-closed by the drain anyway.
-        if self.peers[target].send(msg).is_ok() {
-            self.shared.wakes[target].wake();
+        self.send(target, msg);
+    }
+
+    /// Queues a request's response slot and forwards its remote ops,
+    /// each tagged with its index in the request.
+    fn queue_and_forward(&mut self, id: u64, slot: Slot, remote: Vec<(usize, u32, Op)>) {
+        let Some(seq) = self.queue(id, slot) else {
+            return;
+        };
+        for (owner, i, op) in remote {
+            self.forward(owner, id, seq, i, op);
         }
     }
+
+    // The keyed ops below run owned keys on the local shard in a tight
+    // loop and forward the rest to their owners. Filling the slot per key
+    // through `Slot::fill` instead cost 10-15% more CPU per op on the
+    // kv-multiget benchmark (2-core host).
 
     fn op_set(&mut self, id: u64, binary: bool, pairs: &[(Key, Value)]) {
         let workers = self.shared.workers;
-        let me = self.id;
         let mut applied = 0u64;
-        let mut remote: Vec<(usize, Key, Value)> = Vec::new();
-        for &(k, v) in pairs {
-            let s = shard_of(k, workers);
-            if s == me {
-                self.index.insert(k, v);
+        let mut remote: Vec<(usize, u32, Op)> = Vec::new();
+        for (i, &(k, v)) in pairs.iter().enumerate() {
+            let owner = shard_of(k, workers);
+            if owner == self.id {
+                self.shard.apply(Op::Set(k, v));
                 applied += 1;
             } else {
-                remote.push((s, k, v));
+                remote.push((owner, i as u32, Op::Set(k, v)));
             }
         }
-        let Some(conn) = self.conns.get_mut(&id) else {
-            return;
+        let slot = Slot::Set {
+            binary,
+            applied,
+            awaiting: remote.len() as u32,
         };
-        let seq = conn.next_seq;
-        conn.next_seq += 1;
-        if remote.is_empty() {
-            let bytes = serialize_set(binary, applied);
-            Self::push_slot(conn, seq, Slot::Ready(bytes));
-        } else {
-            let awaiting = remote.len() as u32;
-            Self::push_slot(
-                conn,
-                seq,
-                Slot::Set {
-                    binary,
-                    applied,
-                    awaiting,
-                },
-            );
-            for (i, (s, k, v)) in remote.into_iter().enumerate() {
-                self.forward(s, id, seq, i as u32, RemoteOp::Set(k, v));
-            }
-        }
+        self.queue_and_forward(id, slot, remote);
     }
 
-    fn op_get(&mut self, id: u64, binary: bool, keys: &[Key]) {
+    /// GET (`del == false`) or DEL of `keys`.
+    fn op_values(&mut self, id: u64, binary: bool, del: bool, keys: &[Key]) {
         let workers = self.shared.workers;
-        let me = self.id;
-        let mut results: Vec<Option<(bool, Value)>> = Vec::with_capacity(keys.len());
-        let mut remote: Vec<(usize, usize, Key)> = Vec::new();
+        let mut results: Vec<Option<Value>> = Vec::with_capacity(keys.len());
+        let mut remote: Vec<(usize, u32, Op)> = Vec::new();
         for (i, &k) in keys.iter().enumerate() {
-            if shard_of(k, workers) == me {
-                match self.index.get(k) {
-                    Some(v) => results.push(Some((true, v))),
-                    None => results.push(Some((false, 0))),
-                }
+            let op = if del { Op::Del(k) } else { Op::Get(k) };
+            let owner = shard_of(k, workers);
+            if owner == self.id {
+                results.push(self.shard.apply(op).value());
             } else {
                 results.push(None);
-                remote.push((shard_of(k, workers), i, k));
+                remote.push((owner, i as u32, op));
             }
         }
-        let Some(conn) = self.conns.get_mut(&id) else {
-            return;
+        let slot = Slot::Values {
+            binary,
+            del,
+            results,
+            awaiting: remote.len() as u32,
         };
-        let seq = conn.next_seq;
-        conn.next_seq += 1;
-        if remote.is_empty() {
-            let bytes = serialize_get(binary, &results);
-            Self::push_slot(conn, seq, Slot::Ready(bytes));
-        } else {
-            let awaiting = remote.len() as u32;
-            Self::push_slot(
-                conn,
-                seq,
-                Slot::Get {
-                    binary,
-                    results,
-                    awaiting,
-                },
-            );
-            for (s, i, k) in remote {
-                self.forward(s, id, seq, i as u32, RemoteOp::Get(k));
-            }
-        }
-    }
-
-    fn op_del(&mut self, id: u64, binary: bool, keys: &[Key]) {
-        let workers = self.shared.workers;
-        let me = self.id;
-        let mut results: Vec<Option<(bool, Value)>> = Vec::with_capacity(keys.len());
-        let mut remote: Vec<(usize, usize, Key)> = Vec::new();
-        for (i, &k) in keys.iter().enumerate() {
-            if shard_of(k, workers) == me {
-                match self.index.remove(k) {
-                    Some(v) => results.push(Some((true, v))),
-                    None => results.push(Some((false, 0))),
-                }
-            } else {
-                results.push(None);
-                remote.push((shard_of(k, workers), i, k));
-            }
-        }
-        let Some(conn) = self.conns.get_mut(&id) else {
-            return;
-        };
-        let seq = conn.next_seq;
-        conn.next_seq += 1;
-        if remote.is_empty() {
-            let bytes = serialize_del(binary, &results);
-            Self::push_slot(conn, seq, Slot::Ready(bytes));
-        } else {
-            let awaiting = remote.len() as u32;
-            Self::push_slot(
-                conn,
-                seq,
-                Slot::Del {
-                    binary,
-                    results,
-                    awaiting,
-                },
-            );
-            for (s, i, k) in remote {
-                self.forward(s, id, seq, i as u32, RemoteOp::Del(k));
-            }
-        }
+        self.queue_and_forward(id, slot, remote);
     }
 
     fn op_scan(&mut self, id: u64, binary: bool, start: Key, limit: usize) {
         let workers = self.shared.workers;
-        let me = self.id;
         let first = shard_of(start, workers);
-        let mut acc: Vec<(Key, Value)> = Vec::new();
-        let mut next_shard = first;
-        if first == me {
-            self.index.scan(start, limit, &mut acc);
-            next_shard = me + 1;
-        }
-        let Some(conn) = self.conns.get_mut(&id) else {
+        let mut slot = Slot::Scan {
+            binary,
+            acc: Vec::new(),
+            start,
+            limit,
+            next_shard: first + 1,
+        };
+        let hop = if first == self.id {
+            slot.fill(0, self.shard.apply(Op::Scan(start, limit)), workers)
+        } else {
+            Some((first, Op::Scan(start, limit)))
+        };
+        let Some(seq) = self.queue(id, slot) else {
             return;
         };
-        let seq = conn.next_seq;
-        conn.next_seq += 1;
-        if acc.len() >= limit || next_shard >= workers {
-            let bytes = serialize_scan(binary, &acc);
-            Self::push_slot(conn, seq, Slot::Ready(bytes));
-        } else {
-            Self::push_slot(
-                conn,
-                seq,
-                Slot::Scan {
-                    binary,
-                    acc,
-                    start,
-                    limit,
-                    next_shard,
-                },
-            );
-            let remaining = limit; // recomputed per hop from acc.len()
-            let _ = remaining;
-            self.forward_scan_hop(id, seq);
+        if let Some((target, op)) = hop {
+            self.forward(target, id, seq, 0, op);
         }
-    }
-
-    /// Sends the next `Scan` hop for a pending scan slot (the slot must
-    /// be `Slot::Scan`); called at creation and on each completion.
-    fn forward_scan_hop(&mut self, id: u64, seq: u64) {
-        let (target, start, remaining) = {
-            let Some(conn) = self.conns.get_mut(&id) else {
-                return;
-            };
-            let Some(off) = seq.checked_sub(conn.head_seq) else {
-                return;
-            };
-            let Some(Slot::Scan {
-                acc,
-                start,
-                limit,
-                next_shard,
-                ..
-            }) = conn.pending.get_mut(off as usize)
-            else {
-                return;
-            };
-            let target = *next_shard;
-            *next_shard += 1;
-            (target, *start, *limit - acc.len())
-        };
-        self.forward(target, id, seq, 0, RemoteOp::Scan(start, remaining));
     }
 
     fn op_len(&mut self, id: u64, binary: bool) {
-        let local = self.index.len() as u64;
         let workers = self.shared.workers;
-        let Some(conn) = self.conns.get_mut(&id) else {
+        let mut slot = Slot::Len {
+            binary,
+            total: 0,
+            awaiting: workers as u32,
+        };
+        slot.fill(0, self.shard.apply(Op::Len), workers);
+        let Some(seq) = self.queue(id, slot) else {
             return;
         };
-        let seq = conn.next_seq;
-        conn.next_seq += 1;
-        if workers == 1 {
-            let bytes = serialize_len(binary, local);
-            Self::push_slot(conn, seq, Slot::Ready(bytes));
-        } else {
-            Self::push_slot(
-                conn,
-                seq,
-                Slot::Len {
-                    binary,
-                    total: local,
-                    awaiting: (workers - 1) as u32,
-                },
-            );
-            let me = self.id;
-            for s in 0..workers {
-                if s != me {
-                    self.forward(s, id, seq, 0, RemoteOp::Len);
-                }
-            }
+        for s in (0..workers).filter(|&s| s != self.id) {
+            self.forward(s, id, seq, 0, Op::Len);
         }
     }
 
-    // -- peer messages --------------------------------------------------
+    // -- peer messages and the commit point ------------------------------
 
-    fn drain_inbox(&mut self) {
-        let mut flush_ids: Vec<u64> = Vec::new();
+    /// Handles every queued peer message. A durable shard holds replies to
+    /// forwarded ops in the outbox until the wakeup's commit; a shard with
+    /// no log has nothing to commit and sends them at once. Completed
+    /// connections are marked dirty and flushed at the commit.
+    fn drain_inbox(&mut self, to_close: &mut Vec<u64>) {
         while let Ok(msg) = self.inbox.try_recv() {
             match msg {
                 Msg::Apply {
@@ -1128,28 +1192,17 @@ impl Worker {
                     idx,
                     op,
                 } => {
-                    let resp = match op {
-                        RemoteOp::Set(k, v) => {
-                            self.index.insert(k, v);
-                            RemoteResp::Set
-                        }
-                        RemoteOp::Get(k) => RemoteResp::Get(self.index.get(k)),
-                        RemoteOp::Del(k) => RemoteResp::Del(self.index.remove(k)),
-                        RemoteOp::Scan(start, limit) => {
-                            let mut out = Vec::with_capacity(limit.min(1024));
-                            self.index.scan(start, limit, &mut out);
-                            RemoteResp::Scan(out)
-                        }
-                        RemoteOp::Len => RemoteResp::Len(self.index.len()),
-                    };
+                    let resp = self.shard.apply(op);
                     let done = Msg::Done {
                         conn,
                         seq,
                         idx,
                         resp,
                     };
-                    if self.peers[from].send(done).is_ok() {
-                        self.shared.wakes[from].wake();
+                    if self.shard.wal().is_some() {
+                        self.outbox.push((from, done));
+                    } else {
+                        self.send(from, done);
                     }
                 }
                 Msg::Done {
@@ -1159,108 +1212,68 @@ impl Worker {
                     resp,
                 } => {
                     self.complete(conn, seq, idx, resp);
-                    flush_ids.push(conn);
+                    self.dirty.push(conn);
                 }
-            }
-        }
-        flush_ids.sort_unstable();
-        flush_ids.dedup();
-        for id in flush_ids {
-            if !self.flush_conn(id) {
-                self.close_conn(id);
+                Msg::Failed { conn } => to_close.push(conn),
+                Msg::Control(run) => run(&mut self.shard),
             }
         }
     }
 
+    /// Sends `msg` to worker `target` and wakes it. A send only fails when
+    /// the peer already exited, which only happens during shutdown — the
+    /// slot is then abandoned and the connection force-closed by the drain
+    /// anyway.
+    fn send(&self, target: usize, msg: Msg) {
+        if self.peers[target].send(msg).is_ok() {
+            self.shared.wakes[target].wake();
+        }
+    }
+
     /// Applies one remote completion to its pending slot.
-    fn complete(&mut self, id: u64, seq: u64, idx: u32, resp: RemoteResp) {
-        let mut scan_continue = false;
-        {
-            let Some(conn) = self.conns.get_mut(&id) else {
-                return; // connection died while the op was in flight
+    fn complete(&mut self, id: u64, seq: u64, idx: u32, resp: Reply) {
+        let workers = self.shared.workers;
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return; // connection died while the op was in flight
+        };
+        let Some(slot) = seq
+            .checked_sub(conn.head_seq)
+            .and_then(|off| conn.pending.get_mut(off as usize))
+        else {
+            return;
+        };
+        if let Some((target, op)) = slot.fill(idx, resp, workers) {
+            self.forward(target, id, seq, 0, op);
+        }
+    }
+
+    /// The wakeup's group commit: one `Shard::commit` makes every record
+    /// this wakeup appended durable, and only then do the held `Done`
+    /// messages and the dirty connections' responses leave the worker. If
+    /// the WAL failed, nothing held is released: the dirty connections
+    /// close (EOF means "not acknowledged") and each held `Done` becomes a
+    /// `Failed` that closes its connection on the origin worker.
+    fn commit(&mut self, to_close: &mut Vec<u64>) {
+        let durable = self.shard.commit().is_ok();
+        let mut outbox = std::mem::take(&mut self.outbox);
+        for (target, msg) in outbox.drain(..) {
+            let msg = match msg {
+                Msg::Done { conn, .. } if !durable => Msg::Failed { conn },
+                msg => msg,
             };
-            let Some(off) = seq.checked_sub(conn.head_seq) else {
-                return;
-            };
-            let Some(slot) = conn.pending.get_mut(off as usize) else {
-                return;
-            };
-            match (slot, resp) {
-                (
-                    Slot::Set {
-                        applied, awaiting, ..
-                    },
-                    RemoteResp::Set,
-                ) => {
-                    *applied += 1;
-                    *awaiting -= 1;
-                }
-                (
-                    Slot::Get {
-                        results, awaiting, ..
-                    },
-                    RemoteResp::Get(v),
-                ) => {
-                    if let Some(r) = results.get_mut(idx as usize) {
-                        *r = Some(match v {
-                            Some(v) => (true, v),
-                            None => (false, 0),
-                        });
-                    }
-                    *awaiting -= 1;
-                }
-                (
-                    Slot::Del {
-                        results, awaiting, ..
-                    },
-                    RemoteResp::Del(v),
-                ) => {
-                    if let Some(r) = results.get_mut(idx as usize) {
-                        *r = Some(match v {
-                            Some(v) => (true, v),
-                            None => (false, 0),
-                        });
-                    }
-                    *awaiting -= 1;
-                }
-                (
-                    Slot::Len {
-                        total, awaiting, ..
-                    },
-                    RemoteResp::Len(n),
-                ) => {
-                    *total += n as u64;
-                    *awaiting -= 1;
-                }
-                (
-                    Slot::Scan {
-                        binary,
-                        acc,
-                        limit,
-                        next_shard,
-                        ..
-                    },
-                    RemoteResp::Scan(pairs),
-                ) => {
-                    acc.extend(pairs);
-                    let workers = self.shared.workers;
-                    if acc.len() >= *limit || *next_shard >= workers {
-                        let bytes = serialize_scan(*binary, acc);
-                        let off = off as usize;
-                        conn.pending[off] = Slot::Ready(bytes);
-                    } else {
-                        scan_continue = true;
-                    }
-                }
-                // A mismatched completion can only come from memory
-                // corruption or a logic bug; drop it rather than panic the
-                // worker.
-                _ => {}
+            self.send(target, msg);
+        }
+        self.outbox = outbox;
+        let mut dirty = std::mem::take(&mut self.dirty);
+        dirty.sort_unstable();
+        dirty.dedup();
+        for &id in &dirty {
+            if !to_close.contains(&id) && (!durable || !self.flush_conn(id)) {
+                to_close.push(id);
             }
         }
-        if scan_continue {
-            self.forward_scan_hop(id, seq);
-        }
+        dirty.clear();
+        self.dirty = dirty;
     }
 
     // -- flushing -------------------------------------------------------
@@ -1293,16 +1306,14 @@ impl Worker {
                 } => conn
                     .outbuf
                     .extend_from_slice(&serialize_set(binary, applied)),
-                Slot::Get {
-                    binary, results, ..
+                Slot::Values {
+                    binary,
+                    del,
+                    results,
+                    ..
                 } => conn
                     .outbuf
-                    .extend_from_slice(&serialize_get(binary, &results)),
-                Slot::Del {
-                    binary, results, ..
-                } => conn
-                    .outbuf
-                    .extend_from_slice(&serialize_del(binary, &results)),
+                    .extend_from_slice(&serialize_values(binary, del, &results)),
                 Slot::Len { binary, total, .. } => {
                     conn.outbuf.extend_from_slice(&serialize_len(binary, total))
                 }
@@ -1372,19 +1383,13 @@ impl Worker {
             obs::counter!("kv.timeouts").inc();
             if let Some(conn) = self.conns.get_mut(&id) {
                 let bytes = if binary {
-                    let mut buf = Vec::new();
-                    frame::encode_frame(&mut buf, frame::RESP_ERR, &[frame::ERR_IDLE]);
-                    buf
+                    frame_vec(frame::RESP_ERR, &[frame::ERR_IDLE])
                 } else {
                     b"ERR idle timeout\n".to_vec()
                 };
-                let seq = conn.next_seq;
-                conn.next_seq += 1;
-                Self::push_slot(conn, seq, Slot::ReadyClose(bytes));
+                conn.push(Slot::ReadyClose(bytes));
             }
-            if !self.flush_conn(id) {
-                to_close.push(id);
-            }
+            self.dirty.push(id);
         }
     }
 
@@ -1411,60 +1416,40 @@ enum BinaryParse {
 // Response serialization (text and binary share the op execution above)
 // ---------------------------------------------------------------------------
 
+/// One encoded `DYF1` frame.
+fn frame_vec(op: u8, words: &[u64]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    frame::encode_frame(&mut buf, op, words);
+    buf
+}
+
 fn serialize_set(binary: bool, applied: u64) -> Vec<u8> {
     if binary {
-        let mut buf = Vec::new();
-        frame::encode_frame(&mut buf, frame::RESP_SET, &[applied]);
-        buf
+        frame_vec(frame::RESP_SET, &[applied])
     } else {
         b"OK\n".to_vec()
     }
 }
 
-fn serialize_get(binary: bool, results: &[Option<(bool, Value)>]) -> Vec<u8> {
+fn serialize_values(binary: bool, del: bool, results: &[Option<Value>]) -> Vec<u8> {
     if binary {
         let mut words = Vec::with_capacity(results.len() * 2);
         for r in results {
-            // invariant: flush only runs when awaiting == 0, so every
-            // result has been filled in.
-            let (found, v) = r.expect("get result complete");
-            words.push(u64::from(found));
-            words.push(v);
+            words.push(u64::from(r.is_some()));
+            words.push(r.unwrap_or(0));
         }
-        let mut buf = Vec::new();
-        frame::encode_frame(&mut buf, frame::RESP_GET, &words);
-        buf
-    } else {
-        // invariant: text GET carries exactly one key.
-        let (found, v) = results[0].expect("get result complete");
-        let resp = if found {
-            Response::Value(v)
+        let code = if del {
+            frame::RESP_DEL
         } else {
-            Response::Miss
+            frame::RESP_GET
         };
-        format!("{}\n", format_response(&resp)).into_bytes()
-    }
-}
-
-fn serialize_del(binary: bool, results: &[Option<(bool, Value)>]) -> Vec<u8> {
-    if binary {
-        let mut words = Vec::with_capacity(results.len() * 2);
-        for r in results {
-            // invariant: flush only runs when awaiting == 0.
-            let (found, v) = r.expect("del result complete");
-            words.push(u64::from(found));
-            words.push(v);
-        }
-        let mut buf = Vec::new();
-        frame::encode_frame(&mut buf, frame::RESP_DEL, &words);
-        buf
+        frame_vec(code, &words)
     } else {
-        // invariant: text DEL carries exactly one key.
-        let (found, v) = results[0].expect("del result complete");
-        let resp = if found {
-            Response::Deleted(v)
-        } else {
-            Response::Miss
+        // Text GET and DEL carry exactly one key.
+        let resp = match results.first().copied().flatten() {
+            Some(v) if del => Response::Deleted(v),
+            Some(v) => Response::Value(v),
+            None => Response::Miss,
         };
         format!("{}\n", format_response(&resp)).into_bytes()
     }
@@ -1477,9 +1462,7 @@ fn serialize_scan(binary: bool, pairs: &[(Key, Value)]) -> Vec<u8> {
             words.push(k);
             words.push(v);
         }
-        let mut buf = Vec::new();
-        frame::encode_frame(&mut buf, frame::RESP_SCAN, &words);
-        buf
+        frame_vec(frame::RESP_SCAN, &words)
     } else {
         format!("{}\n", format_response(&Response::Range(pairs.to_vec()))).into_bytes()
     }
@@ -1487,9 +1470,7 @@ fn serialize_scan(binary: bool, pairs: &[(Key, Value)]) -> Vec<u8> {
 
 fn serialize_len(binary: bool, total: u64) -> Vec<u8> {
     if binary {
-        let mut buf = Vec::new();
-        frame::encode_frame(&mut buf, frame::RESP_LEN, &[total]);
-        buf
+        frame_vec(frame::RESP_LEN, &[total])
     } else {
         format!("{}\n", format_response(&Response::Len(total as usize))).into_bytes()
     }
@@ -1518,6 +1499,7 @@ mod tests {
                 TpcOptions {
                     workers: 2,
                     server: ServerOptions::default(),
+                    ..TpcOptions::default()
                 },
             );
             let Ok(server) = started else { continue };
@@ -1541,6 +1523,7 @@ mod tests {
             TpcOptions {
                 workers: 2,
                 server: ServerOptions::default(),
+                ..TpcOptions::default()
             },
         );
         assert!(res.is_err(), "port 65535 + 2 workers must fail, not wrap");
@@ -1553,6 +1536,7 @@ mod tests {
             TpcOptions {
                 workers: 2,
                 server: ServerOptions::default(),
+                ..TpcOptions::default()
             },
         )
         .expect("start");
@@ -1585,6 +1569,7 @@ mod tests {
             TpcOptions {
                 workers: 3,
                 server: ServerOptions::default(),
+                ..TpcOptions::default()
             },
         )
         .expect("start");
@@ -1611,5 +1596,45 @@ mod tests {
         drop(reader);
         let report = server.shutdown();
         assert!(report.drained);
+    }
+
+    /// A write whose WAL record cannot be made durable is never
+    /// acknowledged, whether its own worker or a peer owns the key: the
+    /// connection closes instead. Reads of durable state still work.
+    #[test]
+    fn wal_failure_closes_the_connection_unacknowledged() {
+        let dir = std::env::temp_dir().join(format!("tpc-wal-failure-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = TpcServer::with_options(
+            "127.0.0.1:0",
+            TpcOptions {
+                workers: 2,
+                durability: Some(DurabilityOptions {
+                    dir: dir.clone(),
+                    ops_per_checkpoint: 0,
+                    max_batch_records: 64,
+                }),
+                ..TpcOptions::default()
+            },
+        )
+        .expect("start");
+        let (local, remote) = (1u64, u64::MAX);
+        assert_eq!((shard_of(local, 2), shard_of(remote, 2)), (0, 1));
+        let mut c = crate::Client::connect(server.addr()).expect("connect");
+        c.set(local, 10).expect("set local");
+        c.set(remote, 20).expect("set forwarded");
+        // The storage fails under running workers.
+        for w in &server.wals {
+            w.crash();
+        }
+        assert!(c.set(local, 11).is_err(), "local write acknowledged");
+        let mut c = crate::Client::connect(server.addr()).expect("connect");
+        assert!(c.set(remote, 21).is_err(), "forwarded write acknowledged");
+        let mut c = crate::Client::connect(server.addr()).expect("connect");
+        assert_eq!(c.get(local).expect("get"), Some(10));
+        assert_eq!(c.get(remote).expect("get"), Some(20));
+        // The failed logs are reported when they close.
+        assert!(!server.shutdown().drained, "a failed log closed clean");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

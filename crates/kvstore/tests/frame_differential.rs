@@ -18,6 +18,7 @@ fn tpc(workers: usize) -> TpcServer {
         TpcOptions {
             workers,
             server: ServerOptions::default(),
+            ..TpcOptions::default()
         },
     )
     .expect("start tpc")

@@ -12,7 +12,15 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 fn tpc(workers: usize, server: ServerOptions) -> TpcServer {
-    TpcServer::with_options("127.0.0.1:0", TpcOptions { workers, server }).expect("start tpc")
+    TpcServer::with_options(
+        "127.0.0.1:0",
+        TpcOptions {
+            workers,
+            server,
+            ..TpcOptions::default()
+        },
+    )
+    .expect("start tpc")
 }
 
 fn raw_conn(addr: std::net::SocketAddr) -> (TcpStream, BufReader<TcpStream>) {

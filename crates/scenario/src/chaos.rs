@@ -1,27 +1,30 @@
-//! Chaos layer: drives a [`DurableShardedStore`] through a drift scenario
-//! and kills it (`kill -9` simulation via [`DurableShardedStore::crash`])
-//! at intervals mid-stream, asserting after every restart that
+//! Chaos layer: drives a durable [`TpcServer`] over loopback through a
+//! drift scenario and kills it (`kill -9` simulation via
+//! [`TpcServer::crash`]) at intervals mid-stream, asserting after every
+//! restart that
 //!
 //! 1. recovery restores exactly the acknowledged-op oracle, and
 //! 2. every shard's deep structural audit comes back clean.
 //!
-//! This composes the PR 3 crash path with drift-time maintenance: splits,
-//! remaps, and shrinks are in flight when the process dies.
+//! This composes the WAL crash path with drift-time maintenance: splits,
+//! remaps, and shrinks are in flight when the server dies. Ops go through
+//! one text [`Client`] on worker 0, so ops on keys other workers own take
+//! the forwarding hop and are logged by their owners.
 
 use crate::stream::{CompiledScenario, ScenarioOp, SCAN_COUNT};
 use index_traits::{Key, Value};
-use kvstore::{DurabilityOptions, DurableShardedStore};
+use kvstore::{Client, TpcOptions, TpcServer};
 use std::collections::BTreeMap;
 use std::io;
-use std::path::Path;
 
 /// Chaos run configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct ChaosOptions {
-    /// Kill the store after every `kill_every` acknowledged mutations.
+    /// Kill the server after every `kill_every` acknowledged mutations.
     pub kill_every: usize,
-    /// Durability options used for every open/reopen.
-    pub durability: DurabilityOptions,
+    /// Options for every start and restart; `server.durability` must be
+    /// set.
+    pub server: TpcOptions,
     /// Checkpoint before every other kill, so recovery exercises both the
     /// checkpoint+replay and the pure-replay paths.
     pub checkpoint_alternate: bool,
@@ -40,44 +43,60 @@ pub struct ChaosReport {
     pub audit_checks: usize,
 }
 
-fn verify(store: &DurableShardedStore, oracle: &BTreeMap<Key, Value>, when: &str) -> usize {
+fn verify(
+    server: &TpcServer,
+    client: &mut Client,
+    oracle: &BTreeMap<Key, Value>,
+    when: &str,
+) -> io::Result<usize> {
     assert_eq!(
-        store.len(),
+        client.len()?,
         oracle.len(),
         "{when}: recovered len diverged from acked oracle"
     );
-    let got = store.scan(0, oracle.len() + 16);
+    let got = client.scan(0, oracle.len() + 16)?;
     let want: Vec<(Key, Value)> = oracle.iter().map(|(&k, &v)| (k, v)).collect();
     assert_eq!(got, want, "{when}: recovered contents diverged");
-    let report = store.audit();
+    let report = server.audit();
     assert!(
         report.is_clean(),
         "{when}: post-recovery audit dirty: {report:?}"
     );
     assert!(report.checks > 0, "{when}: vacuous audit");
-    report.checks
+    Ok(report.checks)
 }
 
-/// Replays `compiled` against a durable store in `dir`, crashing and
-/// recovering every `opts.kill_every` acked mutations.
+/// Crashes `server` and starts a recovered one on the same directory.
+fn crash_and_restart(server: TpcServer, opts: &TpcOptions) -> io::Result<(TpcServer, Client)> {
+    server.crash();
+    let server = TpcServer::with_options("127.0.0.1:0", opts.clone())?;
+    let client = Client::connect(server.addr())?;
+    Ok((server, client))
+}
+
+/// Replays `compiled` against a durable server, crashing and recovering
+/// it every `opts.kill_every` acked mutations.
 ///
 /// # Errors
 ///
-/// Propagates store open/recovery I/O errors. Acked-durability or audit
-/// violations panic (this is a test harness: divergence is a bug, not an
-/// environmental condition).
+/// Propagates server start/recovery and client I/O errors, and a shard log
+/// that reports an error when the final server shuts down. Acked-durability
+/// or audit violations panic (this is a test harness: divergence is a bug,
+/// not an environmental condition).
 ///
 /// # Panics
 ///
-/// Panics if recovery loses an acknowledged op, resurrects an unacked
-/// one, or any post-recovery audit reports a violation.
-pub fn run_chaos(
-    dir: &Path,
-    compiled: &CompiledScenario,
-    opts: &ChaosOptions,
-) -> io::Result<ChaosReport> {
+/// Panics if `opts.server` is not durable, if recovery loses an
+/// acknowledged op or resurrects an unacked one, or if any post-recovery
+/// audit reports a violation.
+pub fn run_chaos(compiled: &CompiledScenario, opts: &ChaosOptions) -> io::Result<ChaosReport> {
     assert!(opts.kill_every > 0);
-    let mut store = Some(DurableShardedStore::open(dir, opts.durability)?);
+    assert!(
+        opts.server.durability.is_some(),
+        "chaos needs a durable server"
+    );
+    let mut server = TpcServer::with_options("127.0.0.1:0", opts.server.clone())?;
+    let mut client = Client::connect(server.addr())?;
     let mut oracle: BTreeMap<Key, Value> = BTreeMap::new();
     let mut acked = 0usize;
     let mut since_kill = 0usize;
@@ -85,26 +104,24 @@ pub fn run_chaos(
     let mut audit_checks = 0usize;
 
     for op in &compiled.ops {
-        // invariant: `store` is always re-populated after a kill below.
-        let s = store.as_ref().expect("store open");
         match *op {
             ScenarioOp::Insert(k, v) | ScenarioOp::Update(k, v) => {
-                s.set(k, v)?;
+                client.set(k, v)?;
                 oracle.insert(k, v);
                 acked += 1;
                 since_kill += 1;
             }
             ScenarioOp::Delete(k) => {
-                let prev = s.del(k)?;
+                let prev = client.del(k)?;
                 assert_eq!(prev, oracle.remove(&k), "delete returned wrong previous");
                 acked += 1;
                 since_kill += 1;
             }
             ScenarioOp::Read(k) => {
-                assert_eq!(s.get(k), oracle.get(&k).copied(), "read diverged");
+                assert_eq!(client.get(k)?, oracle.get(&k).copied(), "read diverged");
             }
             ScenarioOp::Scan(k) => {
-                let got = s.scan(k, SCAN_COUNT);
+                let got = client.scan(k, SCAN_COUNT)?;
                 let want: Vec<(Key, Value)> = oracle
                     .range(k..)
                     .take(SCAN_COUNT)
@@ -115,26 +132,28 @@ pub fn run_chaos(
         }
         if since_kill >= opts.kill_every {
             since_kill = 0;
-            // invariant: `store` held Some at the top of the iteration.
-            let s = store.take().expect("store open");
             if opts.checkpoint_alternate && kills.is_multiple_of(2) {
-                s.checkpoint_now()?;
+                server.checkpoint_now()?;
             }
-            s.crash();
+            (server, client) = crash_and_restart(server, &opts.server)?;
             kills += 1;
-            let reopened = DurableShardedStore::open(dir, opts.durability)?;
-            audit_checks += verify(&reopened, &oracle, &format!("after kill {kills}"));
-            store = Some(reopened);
+            audit_checks += verify(
+                &server,
+                &mut client,
+                &oracle,
+                &format!("after kill {kills}"),
+            )?;
         }
     }
 
-    // invariant: the loop above always leaves `store` repopulated.
-    let s = store.take().expect("store open");
-    s.crash();
-    let reopened = DurableShardedStore::open(dir, opts.durability)?;
-    audit_checks += verify(&reopened, &oracle, "final recovery");
-    let final_len = reopened.len();
-    reopened.shutdown()?;
+    (server, client) = crash_and_restart(server, &opts.server)?;
+    audit_checks += verify(&server, &mut client, &oracle, "final recovery")?;
+    let final_len = client.len()?;
+    if !server.shutdown().drained {
+        return Err(io::Error::other(
+            "a shard's log failed as the server closed",
+        ));
+    }
 
     Ok(ChaosReport {
         kills: kills + 1,
@@ -149,6 +168,7 @@ mod tests {
     use super::*;
     use crate::builtin;
     use crate::stream::compile;
+    use kvstore::DurabilityOptions;
     use std::path::PathBuf;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -166,15 +186,18 @@ mod tests {
         let dir = temp_dir("smoke");
         let compiled = compile(&builtin::mm_to_tx_drift(600));
         let report = run_chaos(
-            &dir,
             &compiled,
             &ChaosOptions {
                 kill_every: 500,
-                durability: DurabilityOptions {
-                    shard_bits: 1,
-                    ops_per_checkpoint: 0,
-                    max_batch_records: 64,
+                server: TpcOptions {
+                    workers: 2,
                     params: dytis::Params::small(),
+                    durability: Some(DurabilityOptions {
+                        dir: dir.clone(),
+                        ops_per_checkpoint: 0,
+                        max_batch_records: 64,
+                    }),
+                    ..TpcOptions::default()
                 },
                 checkpoint_alternate: true,
             },

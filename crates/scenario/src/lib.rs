@@ -17,19 +17,22 @@
 //! - [`timeline`] — the per-phase JSON timeline (`BENCH_scenarios.json`).
 //! - [`builtin`] — the standard battery: MM→TX drift (plus its stationary
 //!   control), hot-key storm, delete-heavy shrink.
-//! - [`chaos`] — kills a `DurableShardedStore` mid-drift and asserts WAL
-//!   recovery, oracle agreement, and a clean deep audit.
+//! - [`chaos`] — drives a durable `kvstore::TpcServer` over loopback,
+//!   kills it mid-drift, and asserts WAL recovery, oracle agreement, and
+//!   a clean deep audit (unix only, like the server).
 //!
 //! See DESIGN.md §13 for the architecture and EXPERIMENTS.md for how to
 //! read the timeline output.
 
 pub mod builtin;
+#[cfg(unix)]
 pub mod chaos;
 pub mod dsl;
 pub mod runner;
 pub mod stream;
 pub mod timeline;
 
+#[cfg(unix)]
 pub use chaos::{run_chaos, ChaosOptions, ChaosReport};
 pub use dsl::{Event, OpMix, Phase, Scenario};
 pub use runner::{run, DytisTarget, IndexTarget, RunOptions, ScenarioTarget};

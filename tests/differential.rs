@@ -18,7 +18,8 @@ use dytis_repro::alex_index::Alex;
 use dytis_repro::dytis::{DyTis, Params};
 use dytis_repro::exhash::{Cceh, ExtendibleHash};
 use dytis_repro::index_traits::{Auditable, Key, KvIndex, Value};
-use dytis_repro::kvstore::{DurabilityOptions, DurableShardedStore};
+#[cfg(unix)]
+use dytis_repro::kvstore::{DurabilityOptions, RoutedClient, TpcOptions, TpcServer};
 use dytis_repro::lipp::Lipp;
 use dytis_repro::stx_btree::BPlusTree;
 use dytis_repro::xindex::XIndex;
@@ -231,13 +232,15 @@ fn differential_cceh() {
     differential(Cceh::new, false);
 }
 
-/// Kill-and-recover lockstep: the durable sharded store runs the same style
-/// of mixed trace against the oracle, but is killed (WAL committers abort,
-/// nothing flushes gracefully) and recovered from disk at every batch
-/// boundary. Since every mutation here is acknowledged before the trace
-/// advances, recovery must reproduce the oracle *exactly* after each kill —
-/// and alternating kills follow a checkpoint, so both the replay-everything
-/// and the checkpoint-plus-short-tail paths are exercised.
+/// Kill-and-recover lockstep: a durable `TpcServer`, driven over loopback
+/// by a routing client, runs the same style of mixed trace against the
+/// oracle, but is killed (WAL committers abort, nothing flushes
+/// gracefully) and recovered from disk at every batch boundary. Since
+/// every mutation here is acknowledged before the trace advances, recovery
+/// must reproduce the oracle *exactly* after each kill — and alternating
+/// kills follow a checkpoint, so both the replay-everything and the
+/// checkpoint-plus-short-tail paths are exercised.
+#[cfg(unix)]
 #[test]
 fn differential_durable_store_kill_and_recover() {
     const DURABLE_OPS: usize = if cfg!(debug_assertions) {
@@ -252,30 +255,39 @@ fn differential_durable_store_kill_and_recover() {
         std::thread::current().id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    let opts = DurabilityOptions {
-        shard_bits: 2,
-        ops_per_checkpoint: 0,
-        max_batch_records: 256,
-        ..DurabilityOptions::default()
+    let opts = TpcOptions {
+        workers: 4,
+        durability: Some(DurabilityOptions {
+            dir: dir.clone(),
+            ops_per_checkpoint: 0,
+            max_batch_records: 256,
+        }),
+        ..TpcOptions::default()
     };
-    let mut store = Some(DurableShardedStore::open(&dir, opts).expect("open"));
+    let start = || {
+        let server = TpcServer::with_options("127.0.0.1:0", opts.clone()).expect("open");
+        let client = RoutedClient::connect(server.worker_addrs()).expect("connect");
+        (server, client)
+    };
+    let (mut server, mut c) = start();
     let mut oracle: BTreeMap<Key, Value> = BTreeMap::new();
     let trace = generate_trace(0xD1FF_0003, DURABLE_OPS);
     let mut kills = 0usize;
     for (i, &op) in trace.iter().enumerate() {
-        // invariant: `store` is only taken during the kill/reopen block
-        // below, which always puts a reopened store back.
-        let s = store.as_ref().expect("store open");
         match op {
             TraceOp::Insert(k, v) | TraceOp::Update(k, v) => {
-                s.set(k, v).expect("durable set");
+                c.set(k, v).expect("durable set");
                 oracle.insert(k, v);
             }
             TraceOp::Get(k) => {
-                assert_eq!(s.get(k), oracle.get(&k).copied(), "op {i}: get({k})");
+                assert_eq!(
+                    c.get(k).expect("get"),
+                    oracle.get(&k).copied(),
+                    "op {i}: get({k})"
+                );
             }
             TraceOp::Scan(start, count) => {
-                let got = s.scan(start, count);
+                let got = c.scan(start, count).expect("scan");
                 let want: Vec<(Key, Value)> = oracle
                     .range(start..)
                     .take(count)
@@ -285,7 +297,7 @@ fn differential_durable_store_kill_and_recover() {
             }
             TraceOp::Delete(k) => {
                 assert_eq!(
-                    s.del(k).expect("durable del"),
+                    c.del(k).expect("durable del"),
                     oracle.remove(&k),
                     "op {i}: del({k})"
                 );
@@ -293,27 +305,23 @@ fn differential_durable_store_kill_and_recover() {
         }
         if (i + 1).is_multiple_of(KILL_EVERY) {
             kills += 1;
-            // invariant: populated above and between iterations.
-            let s = store.take().expect("store open");
             if kills.is_multiple_of(2) {
-                s.checkpoint_now().expect("checkpoint before kill");
+                server.checkpoint_now().expect("checkpoint before kill");
             }
-            s.crash();
-            let s = DurableShardedStore::open(&dir, opts).expect("recover");
-            assert_eq!(s.len(), oracle.len(), "kill {kills}: len diverged");
-            let got = s.scan(0, oracle.len() + 16);
+            server.crash();
+            (server, c) = start();
+            assert_eq!(
+                c.len().expect("len"),
+                oracle.len() as u64,
+                "kill {kills}: len diverged"
+            );
+            let got = c.scan(0, oracle.len() + 16).expect("scan");
             let want: Vec<(Key, Value)> = oracle.iter().map(|(&k, &v)| (k, v)).collect();
             assert_eq!(got, want, "kill {kills}: recovered state diverged");
-            store = Some(s);
         }
     }
     assert!(kills >= 4, "trace too short to exercise recovery");
-    // invariant: the loop always reinstalls the store.
-    store
-        .take()
-        .expect("store open")
-        .shutdown()
-        .expect("shutdown");
+    assert!(server.shutdown().drained, "shutdown");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,14 +1,16 @@
-//! Chaos recovery under drift: a `DurableShardedStore` replays built-in
-//! drift scenarios and is killed (`crash()`, the kill -9 simulation from
-//! the durability layer) repeatedly mid-stream — while segment splits,
+//! Chaos recovery under drift: a durable `TpcServer`, driven over
+//! loopback, replays built-in drift scenarios and is killed (`crash()`,
+//! the kill -9 simulation) repeatedly mid-stream — while segment splits,
 //! remaps, and shrinks are in flight. After every restart the recovered
 //! state must match the acked-op oracle exactly and every shard's deep
 //! audit must come back clean.
 
+#![cfg(unix)]
+
 use dytis_repro::dytis::Params;
-use dytis_repro::kvstore::DurabilityOptions;
+use dytis_repro::kvstore::{DurabilityOptions, TpcOptions};
 use dytis_repro::scenario::{builtin, chaos, compile};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 const SCALE: usize = if cfg!(debug_assertions) { 1_500 } else { 6_000 };
 
@@ -22,16 +24,20 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn opts(kill_every: usize) -> chaos::ChaosOptions {
+fn opts(dir: &Path, kill_every: usize) -> chaos::ChaosOptions {
     chaos::ChaosOptions {
         kill_every,
-        durability: DurabilityOptions {
-            shard_bits: 2,
-            ops_per_checkpoint: 0,
-            max_batch_records: 128,
+        server: TpcOptions {
+            workers: 4,
             // Small geometry: maintenance (including shrink) is in flight
             // when the kill lands.
             params: Params::small(),
+            durability: Some(DurabilityOptions {
+                dir: dir.to_path_buf(),
+                ops_per_checkpoint: 0,
+                max_batch_records: 128,
+            }),
+            ..TpcOptions::default()
         },
         checkpoint_alternate: true,
     }
@@ -41,7 +47,7 @@ fn opts(kill_every: usize) -> chaos::ChaosOptions {
 fn drift_scenario_survives_repeated_kills() {
     let dir = temp_dir("drift");
     let compiled = compile(&builtin::mm_to_tx_drift(SCALE));
-    let report = chaos::run_chaos(&dir, &compiled, &opts(SCALE / 2)).expect("chaos run");
+    let report = chaos::run_chaos(&compiled, &opts(&dir, SCALE / 2)).expect("chaos run");
     // Warmup is insert-only and serve is ~70% mutations: at least 4
     // crash/recover cycles happen mid-drift, plus the final one.
     assert!(report.kills >= 4, "{report:?}");
@@ -55,7 +61,7 @@ fn drift_scenario_survives_repeated_kills() {
 fn delete_heavy_scenario_survives_kills_while_shrinking() {
     let dir = temp_dir("shrink");
     let compiled = compile(&builtin::delete_heavy_shrink(SCALE));
-    let report = chaos::run_chaos(&dir, &compiled, &opts(SCALE / 2)).expect("chaos run");
+    let report = chaos::run_chaos(&compiled, &opts(&dir, SCALE / 2)).expect("chaos run");
     assert!(report.kills >= 3, "{report:?}");
     // The drain phase deletes ~80% of ops; recovery after each kill must
     // reproduce the (shrunken) oracle exactly, which run_chaos asserts
