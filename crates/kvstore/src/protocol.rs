@@ -27,6 +27,7 @@
 //!   exhausted.
 
 use index_traits::{Key, Value};
+use std::fmt::{self, Write};
 
 /// Longest request line the server accepts, in bytes (newline excluded).
 ///
@@ -86,25 +87,30 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     let cmd = it.next().ok_or("empty request")?;
     let mut num = |what: &str| -> Result<u64, String> {
         it.next()
-            .ok_or(format!("missing {what}"))?
+            .ok_or_else(|| format!("missing {what}"))?
             .parse::<u64>()
             .map_err(|e| format!("bad {what}: {e}"))
     };
-    let req = match cmd.to_ascii_uppercase().as_str() {
-        "SET" => Request::Set(num("key")?, num("value")?),
-        "GET" => Request::Get(num("key")?),
-        "DEL" => Request::Del(num("key")?),
-        "SCAN" => {
-            let start = num("start")?;
-            let count = num("count")? as usize;
-            if count > MAX_SCAN_COUNT {
-                return Err(format!("count exceeds max {MAX_SCAN_COUNT}"));
-            }
-            Request::Scan(start, count)
+    let is = |name: &str| cmd.eq_ignore_ascii_case(name);
+    let req = if is("SET") {
+        Request::Set(num("key")?, num("value")?)
+    } else if is("GET") {
+        Request::Get(num("key")?)
+    } else if is("DEL") {
+        Request::Del(num("key")?)
+    } else if is("SCAN") {
+        let start = num("start")?;
+        let count = num("count")? as usize;
+        if count > MAX_SCAN_COUNT {
+            return Err(format!("count exceeds max {MAX_SCAN_COUNT}"));
         }
-        "LEN" => Request::Len,
-        "QUIT" => Request::Quit,
-        other => return Err(format!("unknown command {other}")),
+        Request::Scan(start, count)
+    } else if is("LEN") {
+        Request::Len
+    } else if is("QUIT") {
+        Request::Quit
+    } else {
+        return Err(format!("unknown command {}", cmd.to_ascii_uppercase()));
     };
     if it.next().is_some() {
         return Err("trailing arguments".into());
@@ -128,21 +134,51 @@ pub fn format_request(req: &Request) -> String {
 
 /// Serializes a response line (without the trailing newline).
 pub fn format_response(resp: &Response) -> String {
+    // Sized once: a tag plus up to 20 digits, or up to 42 bytes a pair.
+    let cap = match resp {
+        Response::Range(pairs) => 5 + 42 * pairs.len(),
+        _ => 32,
+    };
+    let mut s = String::with_capacity(cap);
+    // A `String` sink never fails.
+    let _ = write_response(&mut s, resp);
+    s
+}
+
+/// Appends one response line, newline included, to `out`: the bytes of
+/// `format_response(resp) + "\n"` with no intermediate `String`.
+pub fn encode_response(out: &mut Vec<u8>, resp: &Response) {
+    let _ = write_response(&mut ByteSink(out), resp);
+    out.push(b'\n');
+}
+
+/// The one text encoder of responses: every other form goes through it.
+fn write_response(w: &mut impl Write, resp: &Response) -> fmt::Result {
     match resp {
-        Response::Ok => "OK".into(),
-        Response::Value(v) => format!("VALUE {v}"),
-        Response::Miss => "MISS".into(),
-        Response::Deleted(v) => format!("DELETED {v}"),
+        Response::Ok => w.write_str("OK"),
+        Response::Value(v) => write!(w, "VALUE {v}"),
+        Response::Miss => w.write_str("MISS"),
+        Response::Deleted(v) => write!(w, "DELETED {v}"),
         Response::Range(pairs) => {
-            let mut s = String::from("RANGE");
+            w.write_str("RANGE")?;
             for (k, v) in pairs {
-                s.push_str(&format!(" {k} {v}"));
+                write!(w, " {k} {v}")?;
             }
-            s
+            Ok(())
         }
-        Response::Len(n) => format!("LEN {n}"),
-        Response::Bye => "BYE".into(),
-        Response::Err(e) => format!("ERR {e}"),
+        Response::Len(n) => write!(w, "LEN {n}"),
+        Response::Bye => w.write_str("BYE"),
+        Response::Err(e) => write!(w, "ERR {e}"),
+    }
+}
+
+/// A `fmt::Write` sink appending UTF-8 to a byte buffer.
+struct ByteSink<'a>(&'a mut Vec<u8>);
+
+impl Write for ByteSink<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.extend_from_slice(s.as_bytes());
+        Ok(())
     }
 }
 
@@ -209,6 +245,41 @@ mod tests {
         assert!(parse_request("SET a b").is_err());
         assert!(parse_request("GET 1 2").is_err());
         assert!(parse_request("FROB 1").is_err());
+    }
+
+    /// Every error reply text, byte for byte: clients and the hardening
+    /// suites match on these strings.
+    #[test]
+    fn error_texts_are_pinned() {
+        for (line, err) in [
+            ("", "empty request"),
+            ("  \t ", "empty request"),
+            ("SET", "missing key"),
+            ("SET 1", "missing value"),
+            ("SET a 1", "bad key: invalid digit found in string"),
+            ("SET 1 b", "bad value: invalid digit found in string"),
+            (
+                "SET 18446744073709551616 1",
+                "bad key: number too large to fit in target type",
+            ),
+            ("GET", "missing key"),
+            ("GET -1", "bad key: invalid digit found in string"),
+            ("GET 1 2", "trailing arguments"),
+            ("DEL", "missing key"),
+            ("SCAN", "missing start"),
+            ("SCAN 1", "missing count"),
+            ("SCAN x 1", "bad start: invalid digit found in string"),
+            ("SCAN 1 y", "bad count: invalid digit found in string"),
+            ("SCAN 0 100001", "count exceeds max 100000"),
+            ("LEN 1", "trailing arguments"),
+            ("frob 1", "unknown command FROB"),
+            ("getx 1", "unknown command GETX"),
+            ("g\u{e9}t 1", "unknown command G\u{e9}T"),
+        ] {
+            assert_eq!(parse_request(line), Err(err.to_string()), "line {line:?}");
+        }
+        assert_eq!(parse_request("sEt 1 2"), Ok(Request::Set(1, 2)));
+        assert_eq!(parse_request("quit"), Ok(Request::Quit));
     }
 
     #[test]

@@ -23,6 +23,7 @@
 // justification inline.
 #![allow(unsafe_code)]
 
+use crate::sync::atomic::{AtomicBool, Ordering};
 use std::io;
 use std::os::unix::io::RawFd;
 use std::time::Duration;
@@ -139,9 +140,51 @@ fn set_nonblocking_fd(fd: RawFd) -> io::Result<()> {
     Ok(())
 }
 
+/// The coalescing half of a [`WakePipe`]: at most one wake byte is in
+/// flight per round of the receiver, however many messages are queued.
+///
+/// The protocol (DESIGN.md §16.1; `tests/loom_models.rs` checks it):
+///
+/// - A sender queues its message first, then calls [`WakeFlag::raise`],
+///   and writes the wake byte only when `raise` returns `true`.
+/// - The receiver, once poll reports the pipe readable, reads the pending
+///   bytes, then calls [`WakeFlag::lower`], then drains its inbox.
+///
+/// Lowering after the read means a raised flag always has a byte in
+/// flight: a sender that found it raised can rely on the pending byte (or
+/// on the inbox drain that follows the lower). Lowering before the read
+/// could consume a byte written after the lower and leave the flag up
+/// with nothing pending, so every later sender would skip its byte.
+/// Lowering after the inbox drain could miss a message queued between
+/// the drain and the lower, with no byte to announce it.
+#[derive(Debug, Default)]
+pub struct WakeFlag {
+    signaled: AtomicBool,
+}
+
+impl WakeFlag {
+    /// Sender side, after the message is queued. Returns `true` when this
+    /// caller raised the flag and must write the wake byte.
+    pub fn raise(&self) -> bool {
+        // AcqRel: the release publishes the queued message to the
+        // receiver's `lower`, which reads this value with acquire.
+        !self.signaled.swap(true, Ordering::AcqRel)
+    }
+
+    /// Receiver side, after the pending bytes are read and before the
+    /// inbox is drained.
+    pub fn lower(&self) {
+        // AcqRel: acquiring a sender's `raise` makes its queued message
+        // visible to the inbox drain that follows.
+        self.signaled.swap(false, Ordering::AcqRel);
+    }
+}
+
 /// A self-pipe: peer threads call [`WakePipe::wake`] to make the owning
 /// worker's [`poll_events`] return promptly; the worker polls
-/// [`WakePipe::read_fd`] for readability and [`WakePipe::drain`]s it.
+/// [`WakePipe::read_fd`] for readability and [`WakePipe::drain`]s it when
+/// poll reports it readable. A [`WakeFlag`] coalesces wakes: a burst of
+/// sends between two drains writes one byte.
 ///
 /// Both ends are nonblocking: `wake` never stalls the sender (a full pipe
 /// already guarantees a pending wakeup), and `drain` never stalls the
@@ -150,13 +193,15 @@ fn set_nonblocking_fd(fd: RawFd) -> io::Result<()> {
 pub struct WakePipe {
     read_fd: RawFd,
     write_fd: RawFd,
+    flag: WakeFlag,
 }
 
 // justified: raw fds are plain integers; write(2)/read(2) on a pipe are
-// atomic and thread-safe per POSIX, so sharing the pipe across threads is
-// sound.
+// atomic and thread-safe per POSIX, and the flag is an atomic, so sharing
+// the pipe across threads is sound.
 unsafe impl Send for WakePipe {}
-// justified: no interior state beyond the two fds; see the Send argument.
+// justified: no interior state beyond the two fds and the atomic flag;
+// see the Send argument.
 unsafe impl Sync for WakePipe {}
 
 impl WakePipe {
@@ -175,6 +220,7 @@ impl WakePipe {
         let pipe = WakePipe {
             read_fd: fds[0],
             write_fd: fds[1],
+            flag: WakeFlag::default(),
         };
         set_nonblocking_fd(pipe.read_fd)?;
         set_nonblocking_fd(pipe.write_fd)?;
@@ -186,10 +232,15 @@ impl WakePipe {
         self.read_fd
     }
 
-    /// Wakes the owning worker. Safe from any thread; if the pipe is
-    /// already full the pending bytes already guarantee a wakeup, so
-    /// `EAGAIN` is success.
+    /// Wakes the owning worker; call it after queueing the message it
+    /// announces. Safe from any thread. Writes a byte only when no wake is
+    /// pending since the worker's last [`WakePipe::drain`]; if the pipe is
+    /// full the pending bytes already guarantee a wakeup, so `EAGAIN` is
+    /// success.
     pub fn wake(&self) {
+        if !self.flag.raise() {
+            return;
+        }
         let byte = [1u8];
         // justified: write(2) of one byte from a live stack buffer to an
         // owned fd; short/failed writes are intentionally ignored (EAGAIN
@@ -197,17 +248,21 @@ impl WakePipe {
         let _ = unsafe { ffi::write(self.write_fd, byte.as_ptr(), 1) };
     }
 
-    /// Consumes all pending wake bytes so the next poll blocks again.
+    /// Consumes the pending wake bytes so the next poll blocks again, then
+    /// lowers the flag; the caller drains its inbox after this returns.
+    /// Stops at the first short read: with coalesced wakes one read
+    /// normally takes everything.
     pub fn drain(&self) {
         let mut buf = [0u8; 64];
         loop {
             // justified: read(2) into a live stack buffer of the stated
             // length on an owned nonblocking fd.
             let n = unsafe { ffi::read(self.read_fd, buf.as_mut_ptr(), buf.len()) };
-            if n <= 0 {
-                return;
+            if n < buf.len() as isize {
+                break;
             }
         }
+        self.flag.lower();
     }
 }
 
@@ -261,6 +316,33 @@ mod tests {
             pipe.wake();
         }
         pipe.drain();
+    }
+
+    #[test]
+    fn wakes_coalesce_until_drained() {
+        let pipe = WakePipe::new().expect("pipe");
+        let pending = |pipe: &WakePipe| {
+            let mut buf = [0u8; 64];
+            // justified: read(2) into a live stack buffer of the stated
+            // length on the pipe's owned nonblocking read end.
+            unsafe { ffi::read(pipe.read_fd(), buf.as_mut_ptr(), buf.len()) }
+        };
+        for _ in 0..3 {
+            pipe.wake();
+        }
+        assert_eq!(
+            pending(&pipe),
+            1,
+            "three wakes before a drain write one byte"
+        );
+        // The flag stays up until a drain, so this wake writes nothing.
+        pipe.wake();
+        assert!(pending(&pipe) < 0, "a raised flag must not write again");
+        pipe.drain();
+        pipe.wake();
+        let mut entries = [PollFd::new(pipe.read_fd(), POLL_IN)];
+        let n = poll_events(&mut entries, Some(Duration::from_secs(5))).expect("poll");
+        assert_eq!(n, 1, "the first wake after a drain writes again");
     }
 
     #[test]

@@ -44,7 +44,7 @@
 #![cfg(unix)]
 
 use crate::frame::{self, Decoded};
-use crate::protocol::{self, format_response, parse_request, Request, Response};
+use crate::protocol::{self, encode_response, format_response, parse_request, Request, Response};
 use crate::reactor::{poll_events, PollFd, WakePipe, POLL_IN, POLL_OUT};
 use crate::shard::{prepare_dir, shard_of, DurabilityOptions, Op, Reply, Shard};
 use crate::{DrainReport, ServerOptions};
@@ -240,6 +240,8 @@ impl TpcServer {
                             next_conn_id: 0,
                             outbox: Vec::new(),
                             dirty: Vec::new(),
+                            wake_marks: vec![false; workers],
+                            now: Instant::now(),
                         };
                         worker.run();
                     }
@@ -550,7 +552,7 @@ impl Slot {
                     *next_shard += 1;
                     return Some((*next_shard - 1, Op::Scan(*start, *limit - acc.len())));
                 }
-                let bytes = serialize_scan(*binary, acc);
+                let bytes = serialize_scan(*binary, std::mem::take(acc));
                 *self = Slot::Ready(bytes);
             }
             // A mismatched completion can only come from memory
@@ -566,6 +568,9 @@ struct Conn {
     stream: TcpStream,
     mode: Mode,
     inbuf: Vec<u8>,
+    /// Bytes of `inbuf` already parsed; compacted away once per
+    /// `parse_all`.
+    in_pos: usize,
     /// Text mode: discarding an oversized line until its newline.
     skipping: bool,
     outbuf: Vec<u8>,
@@ -586,18 +591,19 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream) -> Conn {
+    fn new(stream: TcpStream, now: Instant) -> Conn {
         Conn {
             stream,
             mode: Mode::Detect,
             inbuf: Vec::new(),
+            in_pos: 0,
             skipping: false,
             outbuf: Vec::new(),
             out_pos: 0,
             pending: std::collections::VecDeque::new(),
             head_seq: 0,
             next_seq: 0,
-            last_active: Instant::now(),
+            last_active: now,
             closing: false,
             peer_eof: false,
             write_stalled: None,
@@ -636,10 +642,18 @@ struct Worker {
     outbox: Vec<(usize, Msg)>,
     /// Connections whose responses are flushed at the wakeup's commit.
     dirty: Vec<u64>,
+    /// Peers sent a message this wakeup and not yet woken: each is woken
+    /// once however many messages it got (`wake_peers`).
+    wake_marks: Vec<bool>,
+    /// The clock reading of the current wakeup, taken once after poll.
+    now: Instant,
 }
 
 impl Worker {
     fn run(mut self) {
+        // One read buffer for every connection, zeroed once: on the stack,
+        // so it neither costs a memset per read nor shows as heap.
+        let mut chunk = [0u8; READ_CHUNK];
         let mut entries: Vec<PollFd> = Vec::new();
         let mut tokens: Vec<u64> = Vec::new();
         loop {
@@ -678,7 +692,10 @@ impl Worker {
             if ready > 0 {
                 obs::counter!("kv.wakeups").inc();
             }
-            self.shared.wakes[self.id].drain();
+            self.now = Instant::now();
+            if entries[0].readable() {
+                self.shared.wakes[self.id].drain();
+            }
             let mut to_close: Vec<u64> = Vec::new();
 
             // 1. Peer messages: apply forwarded ops on the local shard,
@@ -696,9 +713,9 @@ impl Worker {
             for (entry, &token) in entries.iter().zip(&tokens).skip(2) {
                 if entry.readable() {
                     if let Some(conn) = self.conns.get_mut(&token) {
-                        conn.last_active = Instant::now();
+                        conn.last_active = self.now;
                     }
-                    if !self.read_and_apply(token) {
+                    if !self.read_and_apply(token, &mut chunk) {
                         to_close.push(token);
                         continue;
                     }
@@ -764,7 +781,7 @@ impl Worker {
             }
             let id = self.next_conn_id;
             self.next_conn_id += 1;
-            self.conns.insert(id, Conn::new(stream));
+            self.conns.insert(id, Conn::new(stream, self.now));
         }
     }
 
@@ -774,8 +791,7 @@ impl Worker {
     /// local ones, and forwards the remote ones; the responses wait for
     /// the wakeup's commit. Returns `false` when the connection should
     /// close now.
-    fn read_and_apply(&mut self, id: u64) -> bool {
-        let mut tmp = [0u8; READ_CHUNK];
+    fn read_and_apply(&mut self, id: u64, tmp: &mut [u8; READ_CHUNK]) -> bool {
         let mut got_eof = false;
         let mut applied = 0usize;
         loop {
@@ -790,7 +806,7 @@ impl Worker {
                 {
                     break; // backpressure: poll will re-arm once drained
                 }
-                conn.stream.read(&mut tmp)
+                conn.stream.read(tmp)
             };
             match read {
                 Ok(0) => {
@@ -834,9 +850,19 @@ impl Worker {
         true
     }
 
-    /// Parses every complete request in the connection's input buffer.
-    /// Returns `false` when the connection must close (protocol fault).
+    /// Parses every complete request in the connection's input buffer,
+    /// then drops the parsed bytes from it. Returns `false` when the
+    /// connection must close (protocol fault).
     fn parse_all(&mut self, id: u64, applied: &mut usize) -> bool {
+        let keep = self.parse_buffered(id, applied);
+        if let Some(conn) = self.conns.get_mut(&id) {
+            conn.inbuf.drain(..conn.in_pos);
+            conn.in_pos = 0;
+        }
+        keep
+    }
+
+    fn parse_buffered(&mut self, id: u64, applied: &mut usize) -> bool {
         loop {
             let conn = match self.conns.get_mut(&id) {
                 Some(c) => c,
@@ -847,17 +873,18 @@ impl Worker {
             }
             match conn.mode {
                 Mode::Detect => {
-                    if conn.inbuf.is_empty() {
+                    let rest = &conn.inbuf[conn.in_pos..];
+                    if rest.is_empty() {
                         return true;
                     }
-                    if conn.inbuf[0] == frame::MAGIC_BYTE {
-                        if conn.inbuf.len() < frame::PREAMBLE.len() {
+                    if rest[0] == frame::MAGIC_BYTE {
+                        if rest.len() < frame::PREAMBLE.len() {
                             return true; // wait for the rest
                         }
-                        if conn.inbuf[..4] != frame::PREAMBLE {
+                        if rest[..4] != frame::PREAMBLE {
                             return false; // garbled preamble: close
                         }
-                        conn.inbuf.drain(..4);
+                        conn.in_pos += 4;
                         conn.mode = Mode::Binary;
                     } else {
                         conn.mode = Mode::Text;
@@ -877,8 +904,8 @@ impl Worker {
         }
     }
 
-    /// Consumes one text line if complete. Returns `false` when more
-    /// bytes are needed.
+    /// Consumes one text line if complete, parsing it in place. Returns
+    /// `false` when more bytes are needed.
     fn parse_text_line(&mut self, id: u64, applied: &mut usize) -> bool {
         let opts_cap = self.shared.opts.max_line_bytes;
         let conn = match self.conns.get_mut(&id) {
@@ -886,25 +913,27 @@ impl Worker {
             None => return false,
         };
         if conn.skipping {
-            match conn.inbuf.iter().position(|&b| b == b'\n') {
+            match conn.inbuf[conn.in_pos..].iter().position(|&b| b == b'\n') {
                 Some(i) => {
-                    conn.inbuf.drain(..=i);
+                    conn.in_pos += i + 1;
                     conn.skipping = false;
                 }
                 None => {
                     conn.inbuf.clear();
+                    conn.in_pos = 0;
                     return false;
                 }
             }
         }
-        let line_end = conn.inbuf.iter().position(|&b| b == b'\n');
+        let start = conn.in_pos;
+        let rest = conn.inbuf.len() - start;
+        let line_end = conn.inbuf[start..].iter().position(|&b| b == b'\n');
         // With no newline yet the cap applies to the partial line, which is
         // dropped and skipped through its newline: a newline-free stream
         // stays O(cap) in memory.
-        if line_end.unwrap_or(conn.inbuf.len()) > opts_cap {
+        if line_end.unwrap_or(rest) > opts_cap {
             obs::counter!("kv.oversized").inc();
-            conn.inbuf
-                .drain(..line_end.map_or(conn.inbuf.len(), |i| i + 1));
+            conn.in_pos += line_end.map_or(rest, |i| i + 1);
             conn.skipping = line_end.is_none();
             let msg = format!("ERR line too long (max {opts_cap} bytes)\n");
             conn.push(Slot::Ready(msg.into_bytes()));
@@ -913,13 +942,17 @@ impl Worker {
         let Some(i) = line_end else {
             return false;
         };
-        let line: Vec<u8> = conn.inbuf.drain(..=i).collect();
-        let text = String::from_utf8_lossy(&line);
-        let text = text.trim_matches(|c: char| c == '\r' || c == '\n');
-        if text.trim().is_empty() {
-            return true;
-        }
-        match parse_request(text) {
+        conn.in_pos += i + 1;
+        let parsed = {
+            // Borrows the line when it is valid UTF-8.
+            let text = String::from_utf8_lossy(&conn.inbuf[start..start + i]);
+            let text = text.trim_matches(|c: char| c == '\r' || c == '\n');
+            if text.trim().is_empty() {
+                return true;
+            }
+            parse_request(text)
+        };
+        match parsed {
             Ok(req) => self.dispatch_text(id, req, applied),
             Err(e) => {
                 obs::counter!("kv.malformed").inc();
@@ -956,7 +989,7 @@ impl Worker {
                 Some(c) => c,
                 None => return BinaryParse::NeedBytes,
             };
-            frame::try_decode(&conn.inbuf)
+            frame::try_decode(&conn.inbuf[conn.in_pos..])
         };
         match decoded {
             Decoded::Incomplete => BinaryParse::NeedBytes,
@@ -974,7 +1007,7 @@ impl Worker {
                 consumed,
             } => {
                 if let Some(conn) = self.conns.get_mut(&id) {
-                    conn.inbuf.drain(..consumed);
+                    conn.in_pos += consumed;
                 }
                 *applied += 1;
                 self.dispatch_binary(id, header.op, words);
@@ -1047,6 +1080,7 @@ impl Worker {
         if let Some(conn) = self.conns.get_mut(&id) {
             conn.push(Slot::ReadyClose(frame_vec(frame::RESP_ERR, &[code])));
             conn.inbuf.clear();
+            conn.in_pos = 0;
             // Poison the connection immediately: the stream is
             // untrustworthy past this point, so no further bytes may be
             // read or parsed even within the same wakeup. Pending
@@ -1065,7 +1099,7 @@ impl Worker {
         Some(self.conns.get_mut(&id)?.push(slot))
     }
 
-    fn forward(&self, target: usize, conn: u64, seq: u64, idx: u32, op: Op) {
+    fn forward(&mut self, target: usize, conn: u64, seq: u64, idx: u32, op: Op) {
         let msg = Msg::Apply {
             from: self.id,
             conn,
@@ -1171,7 +1205,8 @@ impl Worker {
         let Some(seq) = self.queue(id, slot) else {
             return;
         };
-        for s in (0..workers).filter(|&s| s != self.id) {
+        let me = self.id;
+        for s in (0..workers).filter(|&s| s != me) {
             self.forward(s, id, seq, 0, Op::Len);
         }
     }
@@ -1220,13 +1255,22 @@ impl Worker {
         }
     }
 
-    /// Sends `msg` to worker `target` and wakes it. A send only fails when
-    /// the peer already exited, which only happens during shutdown — the
-    /// slot is then abandoned and the connection force-closed by the drain
-    /// anyway.
-    fn send(&self, target: usize, msg: Msg) {
+    /// Queues `msg` for worker `target` and marks the peer for the next
+    /// `wake_peers`. A send only fails when the peer already exited, which
+    /// only happens during shutdown — the slot is then abandoned and the
+    /// connection force-closed by the drain anyway.
+    fn send(&mut self, target: usize, msg: Msg) {
         if self.peers[target].send(msg).is_ok() {
-            self.shared.wakes[target].wake();
+            self.wake_marks[target] = true;
+        }
+    }
+
+    /// Wakes every peer marked since the last call, once each.
+    fn wake_peers(&mut self) {
+        for (target, marked) in self.wake_marks.iter_mut().enumerate() {
+            if std::mem::take(marked) {
+                self.shared.wakes[target].wake();
+            }
         }
     }
 
@@ -1249,11 +1293,15 @@ impl Worker {
 
     /// The wakeup's group commit: one `Shard::commit` makes every record
     /// this wakeup appended durable, and only then do the held `Done`
-    /// messages and the dirty connections' responses leave the worker. If
+    /// messages and the dirty connections' responses leave the worker.
+    /// Peers are woken once per wakeup on each side of the sync: forwarded
+    /// ops (and the replies of a shard with no log) before it, so a peer
+    /// never waits on this worker's fsync, and the held replies after. If
     /// the WAL failed, nothing held is released: the dirty connections
     /// close (EOF means "not acknowledged") and each held `Done` becomes a
     /// `Failed` that closes its connection on the origin worker.
     fn commit(&mut self, to_close: &mut Vec<u64>) {
+        self.wake_peers();
         let durable = self.shard.commit().is_ok();
         let mut outbox = std::mem::take(&mut self.outbox);
         for (target, msg) in outbox.drain(..) {
@@ -1264,6 +1312,7 @@ impl Worker {
             self.send(target, msg);
         }
         self.outbox = outbox;
+        self.wake_peers();
         let mut dirty = std::mem::take(&mut self.dirty);
         dirty.sort_unstable();
         dirty.dedup();
@@ -1303,20 +1352,14 @@ impl Worker {
                 }
                 Slot::Set {
                     binary, applied, ..
-                } => conn
-                    .outbuf
-                    .extend_from_slice(&serialize_set(binary, applied)),
+                } => encode_set(&mut conn.outbuf, binary, applied),
                 Slot::Values {
                     binary,
                     del,
                     results,
                     ..
-                } => conn
-                    .outbuf
-                    .extend_from_slice(&serialize_values(binary, del, &results)),
-                Slot::Len { binary, total, .. } => {
-                    conn.outbuf.extend_from_slice(&serialize_len(binary, total))
-                }
+                } => encode_values(&mut conn.outbuf, binary, del, &results),
+                Slot::Len { binary, total, .. } => encode_len(&mut conn.outbuf, binary, total),
                 // invariant: Scan slots are replaced by Ready on
                 // completion and is_complete() is false until then.
                 Slot::Scan { .. } => unreachable!("scan slot flushed before completion"),
@@ -1332,7 +1375,7 @@ impl Worker {
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
                     if conn.write_stalled.is_none() {
-                        conn.write_stalled = Some(Instant::now());
+                        conn.write_stalled = Some(self.now);
                     }
                     break;
                 }
@@ -1356,7 +1399,7 @@ impl Worker {
     // -- timeouts and teardown -----------------------------------------
 
     fn sweep_timeouts(&mut self, to_close: &mut Vec<u64>) {
-        let now = Instant::now();
+        let now = self.now;
         let read_timeout = self.shared.opts.read_timeout;
         let write_timeout = self.shared.opts.write_timeout;
         let mut reap: Vec<(u64, bool)> = Vec::new();
@@ -1423,15 +1466,17 @@ fn frame_vec(op: u8, words: &[u64]) -> Vec<u8> {
     buf
 }
 
-fn serialize_set(binary: bool, applied: u64) -> Vec<u8> {
+// The `encode_*` functions append one response to a connection's outbuf.
+
+fn encode_set(out: &mut Vec<u8>, binary: bool, applied: u64) {
     if binary {
-        frame_vec(frame::RESP_SET, &[applied])
+        frame::encode_frame(out, frame::RESP_SET, &[applied]);
     } else {
-        b"OK\n".to_vec()
+        encode_response(out, &Response::Ok);
     }
 }
 
-fn serialize_values(binary: bool, del: bool, results: &[Option<Value>]) -> Vec<u8> {
+fn encode_values(out: &mut Vec<u8>, binary: bool, del: bool, results: &[Option<Value>]) {
     if binary {
         let mut words = Vec::with_capacity(results.len() * 2);
         for r in results {
@@ -1443,7 +1488,7 @@ fn serialize_values(binary: bool, del: bool, results: &[Option<Value>]) -> Vec<u
         } else {
             frame::RESP_GET
         };
-        frame_vec(code, &words)
+        frame::encode_frame(out, code, &words);
     } else {
         // Text GET and DEL carry exactly one key.
         let resp = match results.first().copied().flatten() {
@@ -1451,28 +1496,30 @@ fn serialize_values(binary: bool, del: bool, results: &[Option<Value>]) -> Vec<u
             Some(v) => Response::Value(v),
             None => Response::Miss,
         };
-        format!("{}\n", format_response(&resp)).into_bytes()
+        encode_response(out, &resp);
     }
 }
 
-fn serialize_scan(binary: bool, pairs: &[(Key, Value)]) -> Vec<u8> {
+fn encode_len(out: &mut Vec<u8>, binary: bool, total: u64) {
+    if binary {
+        frame::encode_frame(out, frame::RESP_LEN, &[total]);
+    } else {
+        encode_response(out, &Response::Len(total as usize));
+    }
+}
+
+fn serialize_scan(binary: bool, pairs: Vec<(Key, Value)>) -> Vec<u8> {
     if binary {
         let mut words = Vec::with_capacity(pairs.len() * 2);
-        for &(k, v) in pairs {
+        for &(k, v) in &pairs {
             words.push(k);
             words.push(v);
         }
         frame_vec(frame::RESP_SCAN, &words)
     } else {
-        format!("{}\n", format_response(&Response::Range(pairs.to_vec()))).into_bytes()
-    }
-}
-
-fn serialize_len(binary: bool, total: u64) -> Vec<u8> {
-    if binary {
-        frame_vec(frame::RESP_LEN, &[total])
-    } else {
-        format!("{}\n", format_response(&Response::Len(total as usize))).into_bytes()
+        let mut out = Vec::new();
+        encode_response(&mut out, &Response::Range(pairs));
+        out
     }
 }
 

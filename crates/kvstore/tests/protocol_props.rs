@@ -6,6 +6,7 @@
 //! so the default offline test run stays lean.
 #![cfg(feature = "proptest")]
 
+use kvstore::protocol::encode_response;
 use kvstore::{format_request, format_response, parse_request, parse_response, Request, Response};
 use proptest::prelude::*;
 
@@ -100,5 +101,19 @@ proptest! {
     fn err_with_arbitrary_payload_never_panics(payload in arb_text()) {
         let _ = parse_response(&format!("ERR {payload}"));
         let _ = parse_response(&format!("  ERR {payload}"));
+    }
+
+    /// The in-place encoder the server writes replies with produces
+    /// exactly `format_response(r) + "\n"`, for every response kind, and
+    /// appends to what the buffer already holds.
+    #[test]
+    fn in_place_encoder_matches_format_response(
+        resp in prop_oneof![arb_response(), arb_text().prop_map(Response::Err)],
+        prefix in arb_text(),
+    ) {
+        let want = format!("{prefix}{}\n", format_response(&resp));
+        let mut out = prefix.clone().into_bytes();
+        encode_response(&mut out, &resp);
+        prop_assert_eq!(&out, want.as_bytes());
     }
 }
